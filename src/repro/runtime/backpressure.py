@@ -37,7 +37,6 @@ __all__ = [
     "POLICIES",
     "PushOutcome",
     "RingStallError",
-    "RingStalledError",
     "push_with_backpressure",
 ]
 
@@ -73,10 +72,6 @@ class RingStallError(RuntimeError):
         super().__init__(message)
         self.pushed = int(pushed)
         self.stalls = int(stalls)
-
-
-#: backward-compatible name (pre-supervision releases).
-RingStalledError = RingStallError
 
 
 @dataclass

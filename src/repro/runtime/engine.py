@@ -39,10 +39,11 @@ here is its deterministic replay path, least-loaded-of-d over counters.)
 heartbeat into the second lane of the progress block on every drain
 step, pushes carry a *no-progress* deadline
 (:class:`~repro.runtime.backpressure.RingStallError`), and a tripped
-deadline starts an assessment -- observed death is ``"exit"``, beat
-silence past ``liveness_deadline`` is condemnation (``"wedged"``,
-terminate->kill escalated).  What happens next is
-``RuntimeConfig.recovery``:
+deadline asks the backend one question -- did the worker show life
+within ``liveness_deadline``?  A worker that did not is condemned
+(``"exit"`` if it had died, ``"wedged"`` if it went silent;
+terminate->kill escalated).  One death handler then applies
+``RuntimeConfig.recovery``, mid-stream and at end-of-stream alike:
 
 * ``fail``    -- unwind cleanly; the result is partial and labeled
   ``status="failed"`` with exact loss accounting, never a hang.
@@ -81,14 +82,15 @@ Two interchangeable backends:
 
 from __future__ import annotations
 
+import abc
 import copy
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Optional,
@@ -111,6 +113,7 @@ from repro.core.metrics import StreamingLoadSeries
 from repro.queueing.latency import DEFAULT_RELATIVE_ERROR, LatencyStore
 from repro.runtime.backpressure import (
     POLICIES,
+    PushOutcome,
     RingStallError,
     push_with_backpressure,
 )
@@ -120,6 +123,7 @@ from repro.runtime.supervision import (
     DEFAULT_REAP_TIMEOUT,
     RECOVERY_POLICIES,
     FailureEvent,
+    LivenessDetector,
     RunAborted,
     WorkerDeadError,
     reap_process,
@@ -144,6 +148,10 @@ MODES = ("auto", "process", "simulated")
 _ASSESS_POLL = 5e-3
 #: seconds between report-queue polls while waiting on a worker report.
 _FINISH_POLL = 50e-3
+#: seconds to wait for a dead worker's report still in flight.
+_REPORT_RACE = 0.2
+#: seconds to wait for each worker report/join before giving up.
+_JOIN_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -167,8 +175,6 @@ class RuntimeConfig:
     relative_error: float = DEFAULT_RELATIVE_ERROR
     #: largest batch a worker drains per step.
     max_batch: int = 4096
-    #: seconds to wait for each worker report/join before giving up.
-    join_timeout: float = 120.0
     #: per-worker staging-buffer slots; a worker's stage flushes to its
     #: ring when full or at end-of-stream.  Flush-size choice never
     #: changes routing or per-worker order (the scatter is stable and
@@ -409,19 +415,124 @@ def _probe() -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _SimulatedBackend:
-    """Rings + worker loops in one process; drains replace waiting.
+class _Backend(abc.ABC):
+    """What the supervisor needs from a deployment, written once.
 
-    Exposes the same supervision surface as the process backend --
-    heartbeat lanes, liveness, condemnation, respawn -- so recovery
-    logic upstream is mode-blind.  ``drives_consumers`` tells the
-    supervisor that consumers only progress when *it* drains them
-    (there is no point polling heartbeats that cannot advance on their
-    own).
+    A subclass allocates the storage (local arrays or shared memory),
+    hands it to this constructor, and starts, probes, condemns and
+    collects its workers.  Pushes, respawn resets and the end-of-stream
+    wait are shared, so recovery upstream is mode-blind.  Liveness is
+    one question in both modes: :meth:`shows_life`.
     """
 
-    mode = "simulated"
-    drives_consumers = True
+    def __init__(
+        self,
+        config: RuntimeConfig,
+        worker_faults: Dict[int, Tuple[FaultSpec, ...]],
+        lanes: np.ndarray,
+        rings: List[SpscRing],
+        names: Optional[List[str]] = None,
+    ) -> None:
+        """Adopt 2W progress lanes (counts, then beats) and W rings.
+
+        ``names``: shared-memory names of the progress block, then of
+        each ring (process mode), carried to the workers by the specs.
+        """
+        workers = len(rings)
+        self.config = config
+        lanes[:] = 0
+        self.counts: Any = lanes[:workers]
+        self.beats: Any = lanes[workers:]
+        self.rings = rings
+        progress_name, *ring_names = names or [""] * (workers + 1)
+        self.specs = [
+            WorkerSpec(
+                worker_id=w,
+                num_workers=workers,
+                ring_name=ring_names[w],
+                progress_name=progress_name,
+                capacity=config.capacity,
+                service_cost=config.service_cost,
+                checkpoint_interval=config.checkpoint_interval,
+                relative_error=config.relative_error,
+                max_batch=config.max_batch,
+                capture_indices=config.capture_indices,
+                faults=worker_faults[w],
+                drain_deadline=config.drain_deadline,
+            )
+            for w in range(workers)
+        ]
+
+    def push(self, worker: int, indices: np.ndarray, stamps: np.ndarray) -> PushOutcome:
+        """One push under the configured policy and push deadline."""
+        return push_with_backpressure(
+            self.rings[worker],
+            indices,
+            stamps,
+            self.config.policy,
+            drain=self._drain(worker),
+            deadline=self.config.push_deadline,
+        )
+
+    def respawn(self, worker: int, reason: str) -> None:
+        """Replace ``worker`` over its reset ring, minus the fatal fault."""
+        self.condemn(worker)
+        self.rings[worker].reset()
+        self.counts[worker] = 0
+        self.beats[worker] = 0
+        spec = self.specs[worker]
+        self.specs[worker] = replace(spec, faults=consume_cause(spec.faults, reason))
+        self._start(worker)
+
+    def finish_one(self, worker: int) -> Dict[str, Any]:
+        """``worker``'s final report, or :class:`WorkerDeadError`."""
+        started = time.perf_counter()  # repro: noqa[REPRO002]
+        while True:
+            report = self._take_report(worker, _FINISH_POLL)
+            if report is not None:
+                return report
+            if not self.shows_life(worker):
+                # A dead worker's report may still be in flight.
+                report = self._take_report(worker, _REPORT_RACE)
+                if report is not None:
+                    return report
+                raise WorkerDeadError(worker, self.condemn(worker))
+            if time.perf_counter() - started >= _JOIN_TIMEOUT:  # repro: noqa[REPRO002]
+                self.condemn(worker)
+                raise WorkerDeadError(worker, "finish-timeout")
+
+    def close(self) -> None:
+        pass
+
+    def _drain(self, worker: int) -> Optional[Callable[[], int]]:
+        """The push's drain hook (None: the consumer runs on its own)."""
+        return None
+
+    @abc.abstractmethod
+    def _start(self, worker: int) -> None:
+        """Start ``worker`` from ``self.specs[worker]``."""
+
+    @abc.abstractmethod
+    def _take_report(self, worker: int, timeout: float) -> Optional[Dict[str, Any]]:
+        """``worker``'s final report if it has finished, else None."""
+
+    @abc.abstractmethod
+    def shows_life(self, worker: int) -> bool:
+        """Whether ``worker`` shows life within the liveness deadline."""
+
+    @abc.abstractmethod
+    def condemn(self, worker: int) -> str:
+        """Stop ``worker`` for good: ``"exit"`` if it had died, else ``"wedged"``."""
+
+
+class _SimulatedBackend(_Backend):
+    """Rings + worker loops in one process; running replaces waiting.
+
+    Consumers progress only when the source runs them -- through the
+    push's drain hook or here -- so showing life means stepping the
+    loop, after sleeping out an injected stall the liveness deadline
+    can absorb.
+    """
 
     def __init__(
         self,
@@ -429,104 +540,53 @@ class _SimulatedBackend:
         config: RuntimeConfig,
         worker_faults: Dict[int, Tuple[FaultSpec, ...]],
     ) -> None:
-        self.config = config
-        self.num_workers = num_workers
-        lanes = np.zeros(2 * num_workers, dtype=np.int64)
-        self.counts = lanes[:num_workers]
-        self.beats = lanes[num_workers:]
-        self.rings = [
-            SpscRing.create_local(config.capacity) for _ in range(num_workers)
-        ]
-        self.loops = [
-            self._build_loop(w, worker_faults.get(w, ()))
-            for w in range(num_workers)
-        ]
+        super().__init__(
+            config,
+            worker_faults,
+            np.zeros(2 * num_workers, dtype=np.int64),
+            [SpscRing.create_local(config.capacity) for _ in range(num_workers)],
+        )
+        self.loops: Dict[int, WorkerLoop] = {}
+        for w in range(num_workers):
+            self._start(w)
 
-    def _build_loop(
-        self, worker: int, faults: Tuple[FaultSpec, ...]
-    ) -> WorkerLoop:
-        config = self.config
-        return WorkerLoop(
-            worker,
-            self.rings[worker],
-            self.counts,
-            service_cost=config.service_cost,
-            checkpoint_interval=config.checkpoint_interval,
-            relative_error=config.relative_error,
-            max_batch=config.max_batch,
-            capture_indices=config.capture_indices,
-            beats=self.beats,
-            faults=tuple(faults),
+    def _start(self, worker: int) -> None:
+        self.loops[worker] = WorkerLoop.from_spec(
+            self.specs[worker], self.rings[worker], self.counts, beats=self.beats
         )
 
-    def push(
-        self,
-        worker: int,
-        indices: np.ndarray,
-        stamps: np.ndarray,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        return push_with_backpressure(
-            self.rings[worker],
-            indices,
-            stamps,
-            self.config.policy,
-            drain=self.loops[worker].step,
-            deadline=deadline,
-        )
+    def _drain(self, worker: int) -> Optional[Callable[[], int]]:
+        return self.loops[worker].step
 
-    def worker_alive(self, worker: int) -> bool:
-        return not self.loops[worker].dead
-
-    def checkpointed(self, worker: int) -> int:
-        return int(self.counts[worker])
-
-    def stall_remaining(self, worker: int) -> float:
-        # Supervision telemetry read (REPRO002 noqa): the supervisor
-        # needs the stall horizon to pick sleep-it-out vs condemn.
-        return self.loops[worker].stall_remaining(
-            time.perf_counter()  # repro: noqa[REPRO002]
-        )
-
-    def condemn(self, worker: int) -> None:
-        self.loops[worker].kill()
-
-    def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
-        self.rings[worker].reset()
-        self.counts[worker] = 0
-        self.beats[worker] = 0
-        self.loops[worker] = self._build_loop(worker, faults)
-
-    def finish_one(
-        self, worker: int, silence_deadline: float, overall_deadline: float
-    ) -> Dict[str, Any]:
+    def shows_life(self, worker: int) -> bool:
         loop = self.loops[worker]
-        if loop.dead:
-            raise WorkerDeadError(worker, "exit")
-        try:
-            loop.drain_until_done(deadline=silence_deadline)
-        except RingStallError:
-            # A drain that stopped progressing is a wedged loop (e.g. a
-            # stall-forever fault): condemn it like the process backend
-            # would a silent child.
-            loop.kill()
-            raise WorkerDeadError(worker, "wedged") from None
-        if loop.dead:
-            raise WorkerDeadError(worker, "exit")
+        # Supervision telemetry (REPRO002 noqa): sleep out or condemn.
+        stall = loop.stall_remaining(time.perf_counter())  # repro: noqa[REPRO002]
+        if stall >= self.config.liveness_deadline:
+            return False
+        if stall > 0.0:
+            time.sleep(stall + 1e-4)
+        loop.step()
+        return not loop.dead
+
+    def condemn(self, worker: int) -> str:
+        loop = self.loops[worker]
+        verdict = "exit" if loop.dead else "wedged"
+        loop.kill()
+        return verdict
+
+    def _take_report(self, worker: int, timeout: float) -> Optional[Dict[str, Any]]:
+        loop = self.loops[worker]
+        while loop.step() > 0:
+            pass
+        if loop.dead or not loop.ring.exhausted:
+            return None
+        loop.publish_checkpoint()
         return loop.report()
 
-    def finalize_clean(self, workers: Sequence[int]) -> None:
-        pass
 
-    def close(self) -> None:
-        pass
-
-
-class _ProcessBackend:
+class _ProcessBackend(_Backend):
     """Real worker processes over shared-memory rings."""
-
-    mode = "process"
-    drives_consumers = False
 
     def __init__(
         self,
@@ -536,196 +596,96 @@ class _ProcessBackend:
     ) -> None:
         from multiprocessing import shared_memory
 
-        self.config = config
-        self.num_workers = num_workers
         self._shms: List[Any] = []
-        self.rings: List[SpscRing] = []
-        self.processes: List[multiprocessing.Process] = []
+        self.processes: Dict[int, multiprocessing.Process] = {}
         self._retired: List[multiprocessing.Process] = []
-        self._specs: List[WorkerSpec] = []
         self._collected: Dict[int, Dict[str, Any]] = {}
         self.results: Any = None
-        self.counts: Any = None
-        self.beats: Any = None
-        self._lanes: Any = None
+        self.liveness: Any = None
         try:
-            self._progress_shm = shared_memory.SharedMemory(
-                create=True, size=2 * num_workers * 8
-            )
-            self._shms.append(self._progress_shm)
-            lanes = np.ndarray(
-                (2 * num_workers,),
-                dtype=np.int64,
-                buffer=self._progress_shm.buf,
-            )
-            lanes[:] = 0
-            self._lanes = lanes
-            self.counts = lanes[:num_workers]
-            self.beats = lanes[num_workers:]
-            ring_shms = []
-            for _ in range(num_workers):
-                shm = shared_memory.SharedMemory(
-                    create=True, size=ring_nbytes(config.capacity)
-                )
-                self._shms.append(shm)
-                ring_shms.append(shm)
-                self.rings.append(
+            # One progress block (2 int64 lanes per worker), one ring each.
+            sizes = [2 * num_workers * 8] + [ring_nbytes(config.capacity)] * num_workers
+            for size in sizes:
+                self._shms.append(shared_memory.SharedMemory(create=True, size=size))
+            super().__init__(
+                config,
+                worker_faults,
+                np.ndarray((2 * num_workers,), dtype=np.int64, buffer=self._shms[0].buf),
+                [
                     SpscRing.from_buffer(shm.buf, config.capacity, initialize=True)
-                )
+                    for shm in self._shms[1:]
+                ],
+                [shm.name for shm in self._shms],
+            )
+            self.liveness = LivenessDetector(self.beats, config.liveness_deadline)
             self.results = multiprocessing.Queue()
             for w in range(num_workers):
-                spec = WorkerSpec(
-                    worker_id=w,
-                    num_workers=num_workers,
-                    ring_name=ring_shms[w].name,
-                    progress_name=self._progress_shm.name,
-                    capacity=config.capacity,
-                    service_cost=config.service_cost,
-                    checkpoint_interval=config.checkpoint_interval,
-                    relative_error=config.relative_error,
-                    max_batch=config.max_batch,
-                    capture_indices=config.capture_indices,
-                    faults=tuple(worker_faults.get(w, ())),
-                    drain_deadline=config.drain_deadline,
-                )
-                self._specs.append(spec)
-                self.processes.append(self._spawn(spec))
+                self._start(w)
         except BaseException:
             self.close()
             raise
 
-    def _spawn(self, spec: WorkerSpec) -> multiprocessing.Process:
+    def _start(self, worker: int) -> None:
+        if worker in self.processes:
+            self._retired.append(self.processes[worker])
         proc = multiprocessing.Process(
-            target=worker_main, args=(spec, self.results), daemon=True
+            target=worker_main, args=(self.specs[worker], self.results), daemon=True
         )
         proc.start()
-        return proc
+        self.processes[worker] = proc
+        self.liveness.forget(worker)
 
-    def push(
-        self,
-        worker: int,
-        indices: np.ndarray,
-        stamps: np.ndarray,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        return push_with_backpressure(
-            self.rings[worker],
-            indices,
-            stamps,
-            self.config.policy,
-            deadline=deadline,
-        )
+    def shows_life(self, worker: int) -> bool:
+        # The source cannot see a real worker's fault machine: a beat
+        # after the question is asked is life; an exit, or silence
+        # past the deadline, is not.
+        proc = self.processes[worker]
+        self.liveness.silent_for(worker)  # beats seen before now answer nothing
+        while proc.is_alive():
+            time.sleep(_ASSESS_POLL)
+            silent = self.liveness.silent_for(worker)
+            if silent == 0.0:
+                return True
+            if silent >= self.liveness.deadline:
+                return False
+        return False
 
-    def worker_alive(self, worker: int) -> bool:
-        return self.processes[worker].is_alive()
+    def condemn(self, worker: int) -> str:
+        proc = self.processes[worker]
+        verdict = "wedged" if proc.is_alive() else "exit"
+        reap_process(proc, DEFAULT_REAP_TIMEOUT)
+        return verdict
 
-    def checkpointed(self, worker: int) -> int:
-        return int(self.counts[worker])
-
-    def stall_remaining(self, worker: int) -> float:
-        # The source cannot see a real worker's fault machine; silence
-        # on the beat lane is its only stall signal.
-        return 0.0
-
-    def condemn(self, worker: int) -> None:
-        reap_process(self.processes[worker], DEFAULT_REAP_TIMEOUT)
-
-    def respawn(self, worker: int, faults: Tuple[FaultSpec, ...]) -> None:
-        old = self.processes[worker]
-        reap_process(old, DEFAULT_REAP_TIMEOUT)
-        self._retired.append(old)
-        self.rings[worker].reset()
-        self.counts[worker] = 0
-        self.beats[worker] = 0
-        spec = replace(self._specs[worker], faults=tuple(faults))
-        self._specs[worker] = spec
-        self.processes[worker] = self._spawn(spec)
-
-    def finish_one(
-        self, worker: int, silence_deadline: float, overall_deadline: float
-    ) -> Dict[str, Any]:
+    def _take_report(self, worker: int, timeout: float) -> Optional[Dict[str, Any]]:
         import queue as queue_module
 
-        if worker in self._collected:
-            return self._collected.pop(worker)
-        # Liveness clocks below are supervision telemetry, never routing
-        # inputs (REPRO002 noqa on each read).
-        started = time.perf_counter()  # repro: noqa[REPRO002]
-        silent_since = started
-        last_beat = int(self.beats[worker])
-        while True:
-            try:
-                report = self.results.get(timeout=_FINISH_POLL)
-            except queue_module.Empty:
-                pass
-            else:
-                wid = int(report["worker_id"])
-                if wid == worker:
-                    return report
-                self._collected[wid] = report
-                continue
-            now = time.perf_counter()  # repro: noqa[REPRO002]
-            if not self.processes[worker].is_alive():
-                report = self._drain_report_race(worker)
-                if report is not None:
-                    return report
-                raise WorkerDeadError(
-                    worker,
-                    "exit",
-                    exitcode=self.processes[worker].exitcode,
-                )
-            beat = int(self.beats[worker])
-            if beat != last_beat:
-                last_beat = beat
-                silent_since = now
-            if now - silent_since >= silence_deadline:
-                self.condemn(worker)
-                raise WorkerDeadError(worker, "wedged")
-            if now - started >= overall_deadline:
-                self.condemn(worker)
-                raise WorkerDeadError(worker, "finish-timeout")
-
-    def _drain_report_race(self, worker: int) -> Optional[Dict[str, Any]]:
-        """A dead worker's report may still sit in the queue's buffer."""
-        import queue as queue_module
-
+        # One queue carries every report; others wait in _collected.
         try:
-            while True:
-                report = self.results.get(timeout=0.2)
-                wid = int(report["worker_id"])
-                if wid == worker:
-                    return report
-                self._collected[wid] = report
+            while worker not in self._collected:
+                report = self.results.get(timeout=timeout)
+                self._collected[int(report["worker_id"])] = report
         except queue_module.Empty:
             return None
-
-    def finalize_clean(self, workers: Sequence[int]) -> None:
-        """Join workers that reported cleanly; a bad exit is a bug."""
-        for w in workers:
-            proc = self.processes[w]
-            proc.join(timeout=self.config.join_timeout)
-            if proc.is_alive():  # pragma: no cover - reported but hung
-                reap_process(proc, DEFAULT_REAP_TIMEOUT)
-                raise RuntimeError(
-                    f"worker pid {proc.pid} failed to exit after reporting"
-                )
-            if proc.exitcode != 0:
-                raise RuntimeError(
-                    f"worker pid {proc.pid} exited with code {proc.exitcode}"
-                )
+        # A worker that reported must exit cleanly; anything else is a bug.
+        proc = self.processes[worker]
+        proc.join(timeout=_JOIN_TIMEOUT)
+        if proc.exitcode != 0:  # pragma: no cover - reported, then hung or crashed
+            reap_process(proc, DEFAULT_REAP_TIMEOUT)
+            raise RuntimeError(
+                f"worker pid {proc.pid} exited with code {proc.exitcode} after reporting"
+            )
+        return self._collected.pop(worker)
 
     def close(self) -> None:
-        for proc in list(self.processes) + self._retired:
+        for proc in [*self.processes.values(), *self._retired]:
             reap_process(proc, DEFAULT_REAP_TIMEOUT)
         if self.results is not None:
             self.results.close()
             self.results.cancel_join_thread()
             self.results = None
         # Drop the numpy views before closing the mappings they borrow.
-        self.rings.clear()
-        self.counts = None
-        self.beats = None
-        self._lanes = None
+        self.rings = []
+        self.counts = self.beats = self.liveness = None
         for shm in self._shms:
             try:
                 shm.close()
@@ -753,13 +713,12 @@ class _Supervisor:
 
     def __init__(
         self,
-        backend: Any,
+        backend: _Backend,
         partitioner: "Partitioner",
         config: RuntimeConfig,
         keys: StreamLike,
         times: Optional[np.ndarray],
         series: StreamingLoadSeries,
-        worker_faults: Dict[int, Tuple[FaultSpec, ...]],
     ) -> None:
         self.backend = backend
         self.partitioner = partitioner
@@ -768,7 +727,6 @@ class _Supervisor:
         self.times = times
         self.series = series
         self.num_workers = partitioner.num_workers
-        self.worker_faults = worker_faults
         self.delivered = np.zeros(self.num_workers, dtype=np.int64)
         self.dropped = np.zeros(self.num_workers, dtype=np.int64)
         self.stalls = 0
@@ -779,10 +737,8 @@ class _Supervisor:
         self.dead: Set[int] = set()
         self.aborted: Optional[RunAborted] = None
         self.recovery_seconds = 0.0
-        #: per-worker silence episodes: wall moment the current failure
-        #: assessment started (cleared on any delivery progress).
-        self._episode: Dict[int, float] = {}
-        self._episode_beat: Dict[int, int] = {}
+        #: set by :meth:`collect`: the stream is over, workers drain.
+        self.draining = False
         #: pristine partitioner copy for deterministic span replay.
         self._pristine: Optional["Partitioner"] = (
             copy.deepcopy(partitioner) if config.recovery == "restart" else None
@@ -804,101 +760,76 @@ class _Supervisor:
         target = int(worker)
         while offset < total:
             target = self.partitioner.remap_worker(target)
-            try:
-                outcome = self.backend.push(
-                    target,
-                    indices[offset:],
-                    stamps[offset:total],
-                    deadline=self.config.push_deadline,
-                )
-            except RingStallError as exc:
-                self.stall_timeouts += 1
-                self.stalls += exc.stalls
-                self.delivered[target] += exc.pushed
-                offset += exc.pushed
-                if exc.pushed:
-                    self._clear_episode(target)
+            pushed, dropped, stalled = self._push(
+                target, indices[offset:], stamps[offset:total]
+            )
+            self.delivered[target] += pushed
+            self.dropped[target] += dropped
+            offset += pushed + dropped
+            if stalled:
                 self._recover(target)
-                continue
-            self.stalls += outcome.stalls
-            self.delivered[target] += outcome.pushed
-            self.dropped[target] += outcome.dropped
-            offset += outcome.pushed + outcome.dropped
-            self._clear_episode(target)
 
-    # -- failure assessment -------------------------------------------------
+    def _push(
+        self, worker: int, ids: np.ndarray, stamps: np.ndarray
+    ) -> Tuple[int, int, bool]:
+        """One deadline-bounded push: ``(pushed, dropped, stalled)``."""
+        try:
+            outcome = self.backend.push(worker, ids, stamps)
+        except RingStallError as exc:
+            self.stall_timeouts += 1
+            self.stalls += exc.stalls
+            return exc.pushed, 0, True
+        self.stalls += outcome.stalls
+        return outcome.pushed, outcome.dropped, False
 
-    def _recover(self, worker: int) -> None:
-        """Assess a stalled push target and apply the recovery policy."""
+    # -- the death handler --------------------------------------------------
+
+    def _recover(self, worker: int, reason: Optional[str] = None) -> None:
+        """Apply the recovery policy to a dead ``worker``; books the time.
+
+        A stalled push passes no ``reason``: the worker is first asked
+        for a sign of life, and a live one just gets its push retried.
+        ``collect`` passes the end-of-stream verdict.  While draining,
+        a restarted ring is re-marked done, masking the last survivor
+        is moot rather than fatal, and an abort is recorded in
+        ``aborted`` instead of raised -- the survivors still report.
+        """
         before = time.perf_counter()  # repro: noqa[REPRO002]
         try:
-            verdict = self._assess(worker)
-            if verdict == "retry":
+            if reason is None:
+                if self.backend.shows_life(worker):
+                    return
+                reason = self.backend.condemn(worker)
+            action = self.config.recovery if self.aborted is None else "fail"
+            self._record(worker, reason, action)
+            if action == "restart":
+                self._restart(worker, reason)
+                if self.draining:
+                    # The respawn reset the ring's done flag.
+                    self.backend.rings[worker].mark_done()
                 return
-            self._record(worker, verdict, self.config.recovery)
-            if self.config.recovery == "fail":
-                self.dead.add(worker)
-                raise RunAborted(worker, verdict)
-            if self.config.recovery == "reroute":
-                self._mask(worker)
-                return
-            self._restart(worker, verdict)
+            self.dead.add(worker)
+            if action == "fail":
+                raise RunAborted(worker, reason)
+            try:
+                self.partitioner.mask_worker(worker)
+            except RuntimeError as exc:
+                # Nobody left to reroute to: fatal mid-stream, moot once
+                # nothing is left to deliver (loss accounting applies).
+                if not self.draining:
+                    raise RunAborted(
+                        worker, f"reroute impossible ({exc})"
+                    ) from exc
+        except RunAborted as abort:
+            self.dead.add(worker)
+            if not self.draining:
+                raise
+            if self.aborted is None:
+                self.aborted = abort
         finally:
             self.recovery_seconds += (
                 time.perf_counter() - before  # repro: noqa[REPRO002]
             )
-
-    def _assess(self, worker: int) -> str:
-        """Why a push to ``worker`` cannot progress.
-
-        Returns ``"retry"`` (worker showed signs of life; push again),
-        or a death reason (``"exit"``/``"wedged"``) after condemning.
-        Bounded: the silence episode persists across calls until the
-        worker makes actual delivery progress, so repeated
-        stall->retry->stall cycles still converge on the liveness
-        deadline.  All clock reads are supervision telemetry (REPRO002
-        noqa).
-        """
-        now = time.perf_counter()  # repro: noqa[REPRO002]
-        started = self._episode.setdefault(worker, now)
-        if worker not in self._episode_beat:
-            self._episode_beat[worker] = int(self.backend.beats[worker])
-        deadline = self.config.liveness_deadline
-        while True:
-            if not self.backend.worker_alive(worker):
-                self._clear_episode(worker)
-                return "exit"
-            now = time.perf_counter()  # repro: noqa[REPRO002]
-            if now - started >= deadline:
-                self.backend.condemn(worker)
-                self._clear_episode(worker)
-                return "wedged"
-            remaining = self.backend.stall_remaining(worker)
-            if remaining > 0.0:
-                if (
-                    math.isinf(remaining)
-                    or (now - started) + remaining >= deadline
-                ):
-                    # The stall provably outlives the liveness budget:
-                    # condemn now instead of sleeping toward it.
-                    self.backend.condemn(worker)
-                    self._clear_episode(worker)
-                    return "wedged"
-                time.sleep(remaining + 1e-4)
-                continue
-            if self.backend.drives_consumers:
-                # An alive, unstalled simulated loop progresses whenever
-                # the push's drain hook runs it -- retry immediately.
-                return "retry"
-            beat = int(self.backend.beats[worker])
-            if beat != self._episode_beat[worker]:
-                self._episode_beat[worker] = beat
-                return "retry"
-            time.sleep(_ASSESS_POLL)
-
-    def _clear_episode(self, worker: int) -> None:
-        self._episode.pop(worker, None)
-        self._episode_beat.pop(worker, None)
 
     def _record(self, worker: int, reason: str, action: str) -> None:
         self.failures.append(
@@ -908,19 +839,9 @@ class _Supervisor:
                 action=action,
                 at_routed=int(self.series.loads.sum()),
                 delivered=int(self.delivered[worker]),
-                checkpointed=int(self.backend.checkpointed(worker)),
+                checkpointed=int(self.backend.counts[worker]),
             )
         )
-
-    # -- recovery actions ---------------------------------------------------
-
-    def _mask(self, worker: int) -> None:
-        self.dead.add(worker)
-        try:
-            self.partitioner.mask_worker(worker)
-        except RuntimeError as exc:
-            # Nobody left to reroute to: the run cannot continue.
-            raise RunAborted(worker, f"reroute impossible ({exc})") from exc
 
     def _restart(self, worker: int, reason: str) -> None:
         """Respawn ``worker`` and replay its lost span deterministically.
@@ -933,85 +854,50 @@ class _Supervisor:
         while True:
             self.restarts_per_worker[worker] += 1
             if self.restarts_per_worker[worker] > self.config.restart_limit:
-                self.dead.add(worker)
                 raise RunAborted(
                     worker,
                     f"exceeded restart limit ({self.config.restart_limit})",
                 )
             self.restarts += 1
-            self.worker_faults[worker] = consume_cause(
-                self.worker_faults[worker], reason
-            )
-            self.backend.respawn(worker, self.worker_faults[worker])
+            self.backend.respawn(worker, reason)
             self.dead.discard(worker)
-            self._clear_episode(worker)
-            span = int(self.delivered[worker])
-            done = 0
-            replay_failed = False
-            while done < span:
-                sent, stalled = self._replay_slice(worker, span, done)
-                done += sent
-                if stalled:
-                    verdict = self._assess(worker)
-                    if verdict == "retry":
-                        continue
-                    self._record(worker, verdict, "restart")
-                    reason = verdict
-                    replay_failed = True
-                    break
-            if not replay_failed:
+            if self._replay(worker):
                 return
+            reason = self.backend.condemn(worker)
+            self._record(worker, reason, "restart")
 
-    def _replay_slice(
-        self, worker: int, span: int, skip: int
-    ) -> Tuple[int, bool]:
-        """Re-deliver ``worker``'s messages ``[skip, span)`` of its span.
+    def _replay(self, worker: int) -> bool:
+        """Re-deliver ``worker``'s span; False if it died during it.
 
         Re-routes the stream prefix from a forked source through a
         pristine partitioner copy -- the same chunk grid and state
         evolution as the original pass, hence the same assignments --
-        and pushes only ``worker``'s share.  Returns ``(sent,
-        stalled)``; a stalled push ends the slice with partial progress
-        for the caller to assess.
+        and pushes only ``worker``'s share of its first
+        ``delivered[worker]`` messages.
         """
         assert self._pristine is not None
         fresh = copy.deepcopy(self._pristine)
-        sent = 0
+        span = int(self.delivered[worker])
         seen = 0
         for start, _stop, key_chunk, time_chunk in iter_keyed_chunks(
             fork_source(self.keys), self.config.chunk_size, self.times
         ):
-            assignments = fresh.route_chunk(key_chunk, time_chunk)
-            mine = np.flatnonzero(assignments == worker)
-            if mine.size:
-                lo = max(skip - seen, 0)
-                hi = min(span - seen, int(mine.size))
-                seen += int(mine.size)
-                if hi > lo:
-                    ids = (start + mine[lo:hi]).astype(np.int64)
-                    # Replay stamps are fresh by necessity; sojourns of
-                    # replayed messages measure re-delivery, not the
-                    # original enqueue (REPRO002 noqa).
-                    stamps = np.full(
-                        ids.size,
-                        time.perf_counter(),  # repro: noqa[REPRO002]
-                    )
-                    try:
-                        outcome = self.backend.push(
-                            worker,
-                            ids,
-                            stamps,
-                            deadline=self.config.push_deadline,
-                        )
-                    except RingStallError as exc:
-                        self.stall_timeouts += 1
-                        self.stalls += exc.stalls
-                        return sent + exc.pushed, True
-                    self.stalls += outcome.stalls
-                    sent += outcome.pushed
             if seen >= span:
                 break
-        return sent, False
+            assignments = fresh.route_chunk(key_chunk, time_chunk)
+            mine = np.flatnonzero(assignments == worker)[: span - seen]
+            seen += int(mine.size)
+            ids = (start + mine).astype(np.int64)
+            # Replay stamps are fresh by necessity; sojourns of replayed
+            # messages measure re-delivery, not the original enqueue
+            # (REPRO002 noqa).
+            stamps = np.full(ids.size, time.perf_counter())  # repro: noqa[REPRO002]
+            while ids.size:
+                pushed, _dropped, stalled = self._push(worker, ids, stamps)
+                ids, stamps = ids[pushed:], stamps[pushed:]
+                if stalled and not self.backend.shows_life(worker):
+                    return False
+        return True
 
     # -- end of stream ------------------------------------------------------
 
@@ -1019,10 +905,11 @@ class _Supervisor:
         """Drain every surviving worker to completion and gather reports.
 
         Failures discovered here (a fault firing during the final
-        drain, a wedged drain) run through the same recovery policies;
+        drain, a wedged drain) go through the same death handler;
         reroute at end-of-stream degenerates to masking alone, since a
         dead ring's contents are unrecoverable without replay.
         """
+        self.draining = True
         for w in range(self.num_workers):
             if w not in self.dead:
                 self.backend.rings[w].mark_done()
@@ -1030,47 +917,10 @@ class _Supervisor:
         for w in range(self.num_workers):
             while w not in self.dead:
                 try:
-                    reports[w] = self.backend.finish_one(
-                        w,
-                        silence_deadline=self.config.liveness_deadline,
-                        overall_deadline=self.config.join_timeout,
-                    )
+                    reports[w] = self.backend.finish_one(w)
                     break
                 except WorkerDeadError as exc:
-                    action = (
-                        self.config.recovery if self.aborted is None else "fail"
-                    )
-                    self._record(w, exc.reason, action)
-                    if action == "restart":
-                        before = time.perf_counter()  # repro: noqa[REPRO002]
-                        try:
-                            self._restart(w, exc.reason)
-                        except RunAborted as abort:
-                            self.aborted = abort
-                            self.dead.add(w)
-                            break
-                        finally:
-                            self.recovery_seconds += (
-                                time.perf_counter()  # repro: noqa[REPRO002]
-                                - before
-                            )
-                        # The respawn reset the ring's done flag; the
-                        # stream is over, so re-signal end-of-stream.
-                        self.backend.rings[w].mark_done()
-                        continue
-                    self.dead.add(w)
-                    if action == "reroute":
-                        try:
-                            self.partitioner.mask_worker(w)
-                        except RuntimeError:
-                            # Last survivor died at end-of-stream: there
-                            # is nothing left to deliver, so masking is
-                            # moot; the loss accounting still applies.
-                            pass
-                    elif self.aborted is None:
-                        self.aborted = RunAborted(w, exc.reason)
-                    break
-        self.backend.finalize_clean(sorted(reports))
+                    self._recover(w, exc.reason)
         return [reports[w] for w in sorted(reports)]
 
 
@@ -1130,16 +980,14 @@ def run_runtime(
             )
     worker_faults = {w: plan.for_worker(w) for w in range(num_workers)}
     mode = _resolve_mode(config.mode)
-    backend: Any = (
+    backend: _Backend = (
         _ProcessBackend(num_workers, config, worker_faults)
         if mode == "process"
         else _SimulatedBackend(num_workers, config, worker_faults)
     )
 
     series = StreamingLoadSeries(m, num_workers, num_checkpoints)
-    sup = _Supervisor(
-        backend, partitioner, config, keys, times, series, worker_faults
-    )
+    sup = _Supervisor(backend, partitioner, config, keys, times, series)
     flushes = 0
     flush = int(config.flush_size)
     # Coalescing staging: per-worker id rows that fill across chunks and
@@ -1193,6 +1041,7 @@ def run_runtime(
                 routed_tick = time.perf_counter()  # repro: noqa[REPRO002]
                 route_seconds += routed_tick - tick
                 flushed_before = flush_seconds
+                recovery_before = sup.recovery_seconds
                 # Scatter: group the chunk's message ids by worker with the
                 # stable counting sort, then append each worker's segment to
                 # its staging row, flushing whenever a row fills.  Stability
@@ -1215,8 +1064,12 @@ def run_runtime(
                         if stage_fill[w] == flush:
                             flush_worker(w)
                 scatter_tick = time.perf_counter()  # repro: noqa[REPRO002]
-                scatter_seconds += (scatter_tick - routed_tick) - (
-                    flush_seconds - flushed_before
+                # Flushes inside the scatter book their own stall and
+                # recovery time; neither is scatter work.
+                scatter_seconds += (
+                    (scatter_tick - routed_tick)
+                    - (flush_seconds - flushed_before)
+                    - (sup.recovery_seconds - recovery_before)
                 )
             for w in range(num_workers):
                 flush_worker(w)
@@ -1242,22 +1095,19 @@ def run_runtime(
 
     positions, imbalances = series.finish()
     routed = series.loads.copy()
+    # A survivor loses its fault-discarded messages; a dead worker its
+    # delivered-but-uncheckpointed pipeline.
     worker_loads = np.zeros(num_workers, dtype=np.int64)
-    fault_dropped = np.zeros(num_workers, dtype=np.int64)
+    lost = np.zeros(num_workers, dtype=np.int64)
     for report in reports:
         worker_loads[report["worker_id"]] = report["count"]
-        fault_dropped[report["worker_id"]] = report.get("fault_dropped", 0)
+        lost[report["worker_id"]] = report.get("fault_dropped", 0)
     for w in sup.dead:
         # A dead worker's survivable count is its last checkpoint; the
         # sup.dead snapshot is taken after collect(), so restarted-and-
         # recovered workers are not in it.
         worker_loads[w] = checkpoints[w]
-    lost = np.zeros(num_workers, dtype=np.int64)
-    for w in range(num_workers):
-        if w in sup.dead:
-            lost[w] = sup.delivered[w] - worker_loads[w]
-        else:
-            lost[w] = fault_dropped[w]
+        lost[w] = sup.delivered[w] - checkpoints[w]
     undelivered = int(routed.sum() - sup.delivered.sum() - sup.dropped.sum())
     latency = LatencyStore.merge_all(
         LatencyStore.from_dict(report["latency"]) for report in reports
@@ -1272,22 +1122,13 @@ def run_runtime(
                 f"loads {routed.tolist()} under policy "
                 f"{config.policy!r}"
             )
-    total_lost = int(lost.sum()) + undelivered
-    if int(routed.sum()) != int(
-        worker_loads.sum() + sup.dropped.sum() + total_lost
-    ):
-        raise AssertionError(
-            f"conservation violated: routed {int(routed.sum())} != "
-            f"processed {int(worker_loads.sum())} + dropped "
-            f"{int(sup.dropped.sum())} + lost {total_lost}"
-        )
     if sup.aborted is not None:
         status = "failed"
     elif sup.dead:
         status = "degraded"
     else:
         status = "ok"
-    return RuntimeResult(
+    result = RuntimeResult(
         mode=mode,
         policy=config.policy,
         num_workers=num_workers,
@@ -1319,3 +1160,9 @@ def run_runtime(
         stall_timeouts=sup.stall_timeouts,
         injected_faults=tuple(s.describe() for s in plan.specs),
     )
+    if not result.conservation_ok:
+        raise AssertionError(
+            f"conservation violated: routed {result.sent} != processed "
+            f"{result.processed} + dropped {result.dropped} + lost {result.lost}"
+        )
+    return result

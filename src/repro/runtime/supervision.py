@@ -156,6 +156,10 @@ class LivenessDetector:
             return 0.0
         return float(now - self._changed_at[worker])
 
+    def forget(self, worker: int) -> None:
+        """Restart ``worker``'s silence clock (a respawned worker)."""
+        self._changed_at[worker] = -1.0
+
     def expired(self, worker: int, now: Optional[float] = None) -> bool:
         """Whether ``worker`` has been silent past the deadline."""
         return self.silent_for(worker, now) >= self.deadline

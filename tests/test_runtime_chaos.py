@@ -18,6 +18,8 @@ tightened throughout so a recovery path that *would* hang fails fast
 instead.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,43 @@ class TestRerouteSimulated:
         assert result.masked_workers == (2,)
         assert result.failures[0]["reason"] == "wedged"
         assert result.conservation_ok
+
+
+class TestEndOfStreamDeaths:
+    """A worker that dies during the final drain, inside ``collect``.
+
+    The simulated backend only runs a worker when a push finds its ring
+    full, so worker 1's last partial flush sits unprocessed in its ring
+    until end-of-stream; a kill placed inside that flush fires there.
+    """
+
+    @pytest.mark.parametrize(
+        "recovery, status", [("fail", "failed"), ("reroute", "degraded"), ("restart", "ok")]
+    )
+    def test_kill_in_last_partial_flush(self, recovery, status):
+        replay = replay_stream(STREAM, make_partitioner("pkg", 4, seed=42))
+        config = simulated_config(recovery, None)
+        total = int(replay.final_loads[1])
+        tail = total % config.flush_size
+        assert tail >= 2, "worker 1 needs a partial last flush"
+        plan = FaultPlan.parse([f"kill:w=1@n={total - tail // 2}"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 4, seed=42),
+            replace(config, faults=plan),
+        )
+        assert result.status == status, result.failures
+        assert result.conservation_ok
+        assert result.sent == STREAM.size
+        first = result.failures[0]
+        assert (first["worker"], first["action"]) == (1, recovery)
+        assert first["at_routed"] == STREAM.size  # detected after routing
+        if recovery == "restart":
+            assert result.restarts == 1
+            np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
+        else:
+            assert result.failed_workers == (1,)
+            assert result.lost > 0
 
 
 @needs_processes

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.api import available_schemes, make_partitioner
 from repro.core.chunks import ArrayChunkSource, counting_scatter
 from repro.core.engine import replay_stream
-from repro.runtime import RuntimeConfig, run_runtime, runtime_available
+from repro.runtime import FaultPlan, RuntimeConfig, run_runtime, runtime_available
 from repro.streams.datasets import get_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -153,6 +153,34 @@ class TestStageBreakdown:
         assert sum(result.stage_seconds.values()) <= result.wall_seconds
         assert result.transport_overhead_ratio >= 1.0
         assert result.flushes >= 4  # at least one flush per worker
+
+    @pytest.mark.parametrize(
+        "mode", ["simulated", pytest.param("process", marks=needs_processes)]
+    )
+    def test_restart_recovery_is_booked_once(self, mode):
+        # A kill detected at a mid-scatter flush: the restart's recovery
+        # time belongs to the recovery stage alone, so no stage goes
+        # negative and the stages never add up to more than the wall.
+        stream = get_dataset("WP").stream(200_000, seed=7)
+        result = run_runtime(
+            stream,
+            make_partitioner("pkg", 2, seed=42),
+            RuntimeConfig(
+                mode=mode,
+                capacity=1024,
+                flush_size=1024,
+                recovery="restart",
+                faults=FaultPlan.parse(["kill:w=1@n=30000"], seed=42),
+                push_deadline=0.5,
+                liveness_deadline=2.0,
+            ),
+        )
+        assert result.status == "ok" and result.restarts == 1
+        assert result.failures[0]["at_routed"] < stream.size
+        assert result.stage_seconds["recovery"] > 0.0
+        for stage, seconds in result.stage_seconds.items():
+            assert seconds >= 0.0, stage
+        assert sum(result.stage_seconds.values()) <= result.wall_seconds
 
     def test_flush_count_scales_with_flush_size(self):
         small = run_runtime(
