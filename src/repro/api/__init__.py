@@ -7,9 +7,9 @@ operator:
 * the **partitioner registry** (:func:`make_partitioner`,
   :func:`register`, :func:`available_schemes`) -- every scheme by name
   or compact spec string (``"pkg"``, ``"pkg:d=3"``, ``"kg"``, ...);
-* the **fluent topology builder** (:class:`Topology`) -- arbitrary
-  spout/worker/aggregator clusters, including stragglers and
-  heterogeneous workers, without touching dataclasses;
+* the **fluent topology builder** (:class:`Topology`) -- the one
+  description of the simulated word-count cluster: spouts, workers
+  (stragglers and heterogeneous pools included) and the aggregator;
 * the **run facade** (:func:`run`) -- one entry point returning a
   unified :class:`RunResult` for both the DSPE discrete-event
   simulation and the frequency-only stream replay.
@@ -59,19 +59,6 @@ Examples: ``"pkg"``, ``"pkg:d=3"`` (shorthand ``d`` ->
   override spec-string values;
 * unknown names, malformed params, and kwargs the constructor does not
   accept all raise :class:`ValueError` listing the valid options.
-
-Migrating from ``SCHEMES``
---------------------------
-
-The pre-registry ``repro.dspe.topology.SCHEMES`` dict still works but
-emits :class:`DeprecationWarning`.  Replace::
-
-    SCHEMES["pkg"](num_workers)          # deprecated
-    make_partitioner("pkg", num_workers)  # registry equivalent
-
-and replace any private name->constructor tables with
-:func:`register` decorators so new schemes appear in
-:func:`available_schemes`, the benchmarks, and the report CLI for free.
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ class RunResult:
 
         The cluster simulator reports final loads only, so
         ``average_imbalance`` and ``final_imbalance`` are both the
-        end-of-run snapshot here (see the class note).
+        end-of-run snapshot here (see the class note).  Like the loads,
+        ``num_messages`` counts every processed tuple, warmup included.
         """
         loads = np.asarray(metrics.worker_loads, dtype=np.float64)
         imbalance = float(loads.max() - loads.mean()) if loads.size else 0.0
@@ -114,7 +115,7 @@ class RunResult:
             scheme=metrics.scheme,
             num_workers=len(metrics.worker_loads),
             num_sources=num_sources,
-            num_messages=metrics.completed,
+            num_messages=sum(metrics.worker_loads),
             worker_loads=loads,
             average_imbalance=imbalance,
             final_imbalance=imbalance,
@@ -225,9 +226,7 @@ def run(
         dist = _resolve_distribution(distribution, dataset)
         cluster = target.build(distribution=dist)
         metrics = cluster.run()
-        return RunResult.from_metrics(
-            metrics, num_sources=cluster.config.num_spouts
-        )
+        return RunResult.from_metrics(metrics, num_sources=len(cluster.spouts))
 
     # Frequency-only path.
     from repro.partitioning.base import Partitioner

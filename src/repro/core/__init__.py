@@ -12,7 +12,7 @@ this package:
 * :mod:`repro.core.metrics` -- streaming checkpoint/imbalance
   accumulation, so replays never need the full assignment array;
 * :mod:`repro.core.engine` -- the chunked replay engine (and the
-  discrete-event loop the DSPE cluster runs on);
+  discrete-event loop the DSPE executors schedule on directly);
 * :mod:`repro.core.parallel` -- the deterministic multi-process sweep
   executor (order-preserving :func:`~repro.core.parallel.parallel_map`
   plus the shared-memory materialized stream cache) that experiment

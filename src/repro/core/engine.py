@@ -10,8 +10,8 @@ One replay implementation for every path in the repo:
 * :func:`replay_interleaved` -- S sources sharing the paper's
   local/global/probing load-estimation modes over one precomputed hash
   matrix (the old ``simulation.multisource`` hot loop);
-* :class:`EventLoop` -- the deterministic event heap the DSPE cluster
-  (:mod:`repro.dspe`) schedules on.
+* :class:`EventLoop` -- the deterministic event heap the DSPE
+  executors (:mod:`repro.dspe`) schedule on, with no adapter between.
 
 All stream replays drive fixed-size key chunks through
 ``Partitioner.route_chunk`` and feed a
@@ -537,7 +537,7 @@ class EventLoop:
     Events are (time, sequence, callback) triples in a binary heap;
     ties in time break by scheduling order, so runs are exactly
     reproducible.  This is the execution core of the DSPE cluster
-    simulation; :class:`repro.dspe.engine.Simulator` is its adapter.
+    simulation: the :mod:`repro.dspe` executors schedule on it directly.
     """
 
     def __init__(self) -> None:

@@ -19,25 +19,23 @@ phenomena:
 Load imbalance turns into longer queues at hot workers, which inflates
 tuple round-trip time and throttles the spout -- exactly why KG loses
 throughput and latency to PKG/SG in the paper.
+
+The executors schedule on :class:`repro.core.engine.EventLoop`; the
+cluster is described, assembled and run through
+:class:`repro.api.Topology`.
 """
 
-from repro.dspe.engine import Simulator
 from repro.dspe.executors import (
     AggregatorExecutor,
     SpoutExecutor,
     WorkerExecutor,
 )
 from repro.dspe.metrics import LatencyStats, RunMetrics
-from repro.dspe.topology import ClusterConfig, WordCountCluster, run_wordcount
 
 __all__ = [
-    "Simulator",
     "SpoutExecutor",
     "WorkerExecutor",
     "AggregatorExecutor",
     "LatencyStats",
     "RunMetrics",
-    "ClusterConfig",
-    "WordCountCluster",
-    "run_wordcount",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from repro.dspe.engine import Simulator
+from repro.core.engine import EventLoop
 from repro.dspe.metrics import LatencyStats
 from repro.partitioning.base import Partitioner
 
@@ -26,8 +26,8 @@ from repro.partitioning.base import Partitioner
 class Tuple_:
     """A tuple in flight: key, emit timestamp, and the emitting spout.
 
-    ``origin`` lets workers ack the right spout in multi-source
-    topologies; ``None`` falls back to the worker's wired spout.
+    ``origin`` is the spout the worker acks, which keeps acks right in
+    multi-source topologies; ``None`` means no ack.
     """
 
     __slots__ = ("key", "emitted_at", "origin")
@@ -43,7 +43,7 @@ class SpoutExecutor:
 
     def __init__(
         self,
-        sim: Simulator,
+        sim: EventLoop,
         key_source: Callable[[], object],
         partitioner: Partitioner,
         workers: List["WorkerExecutor"],
@@ -95,8 +95,7 @@ class WorkerExecutor:
 
     def __init__(
         self,
-        sim: Simulator,
-        spout: Optional[SpoutExecutor],
+        sim: EventLoop,
         cpu_delay: float,
         network_delay: float,
         latency: LatencyStats,
@@ -105,12 +104,10 @@ class WorkerExecutor:
         flush_period: float = 0.0,
         flush_entry_cost: float = 0.0,
         flush_offset: float = 0.0,
-        on_complete: Optional[Callable[[], None]] = None,
     ):
         if cpu_delay <= 0:
             raise ValueError(f"cpu_delay must be positive, got {cpu_delay}")
         self.sim = sim
-        self.spout = spout
         self.cpu_delay = float(cpu_delay)
         self.network_delay = float(network_delay)
         self.latency = latency
@@ -118,7 +115,6 @@ class WorkerExecutor:
         self.aggregator = aggregator
         self.flush_period = float(flush_period)
         self.flush_entry_cost = float(flush_entry_cost)
-        self.on_complete = on_complete
 
         self.queue: deque = deque()
         self.counts: Dict = {}
@@ -157,11 +153,8 @@ class WorkerExecutor:
         if self.sim.now >= self.warmup:
             self.completed_after_warmup += 1
             self.latency.record(self.sim.now - tup.emitted_at)
-        if self.on_complete is not None:
-            self.on_complete()
-        target = tup.origin if tup.origin is not None else self.spout
-        if target is not None:
-            self.sim.schedule(self.network_delay, target.on_ack)
+        if tup.origin is not None:
+            self.sim.schedule(self.network_delay, tup.origin.on_ack)
         self._start_next()
 
     # -- flushing ------------------------------------------------------
@@ -202,28 +195,19 @@ class WorkerExecutor:
 class AggregatorExecutor:
     """Downstream aggregator PEI merging flushed partial counts."""
 
-    def __init__(self, sim: Simulator, entry_cost: float = 0.0):
-        self.sim = sim
-        self.entry_cost = float(entry_cost)
+    def __init__(self) -> None:
         self.totals: Dict = {}
         self.received_entries = 0
-        self.busy_until = 0.0
 
     def receive(self, partials: Dict) -> None:
-        """Absorb one flushed batch (service time per entry)."""
+        """Absorb one flushed batch.
+
+        Merging costs no simulated time: the aggregator is never the
+        bottleneck in Figure 5.
+        """
         self.received_entries += len(partials)
-        # The aggregator is modelled as a single server; we only track
-        # its utilisation since it is never the bottleneck in Fig 5.
-        self.busy_until = (
-            max(self.busy_until, self.sim.now) + len(partials) * self.entry_cost
-        )
         for key, count in partials.items():
             self.totals[key] = self.totals.get(key, 0) + count
 
     def top_k(self, k: int):
         return sorted(self.totals.items(), key=lambda kv: (-kv[1], repr(kv[0])))[:k]
-
-    @property
-    def utilisation_debt(self) -> float:
-        """How far behind real time the aggregator currently is."""
-        return max(0.0, self.busy_until - self.sim.now)

@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.api import Topology
 from repro.core.parallel import parallel_map
-from repro.dspe import ClusterConfig, run_wordcount
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.streams.datasets import get_dataset
 
 DEFAULT_DELAYS = (0.1e-3, 0.2e-3, 0.4e-3, 0.6e-3, 0.8e-3, 1.0e-3)
-SCHEMES = ("pkg", "sg", "kg")
 
 
 @dataclass
@@ -41,21 +39,24 @@ class Fig5aRow:
 def _fig5a_cell(cell) -> Fig5aRow:
     """One cluster simulation: (delay, scheme)."""
     dataset, delay, scheme, duration, warmup, seed = cell
-    distribution = get_dataset(dataset).distribution()
-    metrics = run_wordcount(
-        scheme,
-        distribution,
-        ClusterConfig(cpu_delay=delay, duration=duration, warmup=warmup, seed=seed),
+    result = (
+        Topology()
+        .source(dataset)
+        .partition_by(scheme)
+        .workers(cpu_delay=delay)
+        .timing(duration, warmup)
+        .seed(seed)
+        .run()
     )
-    p99 = metrics.latency.percentile(99)
+    p99 = result.latency_p99
     return Fig5aRow(
         scheme=scheme.upper(),
         cpu_delay=delay,
-        throughput=metrics.throughput,
-        mean_latency=metrics.latency.mean,
+        throughput=result.throughput,
+        mean_latency=result.latency_mean,
         p99_latency=p99,
         excess_p99_latency=p99 - delay,
-        load_imbalance=metrics.load_imbalance,
+        load_imbalance=result.final_imbalance,
     )
 
 
@@ -69,7 +70,7 @@ def run_fig5a(
         (dataset, delay, scheme, config.cluster_duration, config.cluster_warmup,
          config.seed)
         for delay in delays
-        for scheme in SCHEMES
+        for scheme in ("pkg", "sg", "kg")
     ]
     return parallel_map(_fig5a_cell, cells, jobs=config.jobs)
 

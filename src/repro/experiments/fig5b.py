@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.api import Topology
 from repro.core.parallel import parallel_map
-from repro.dspe import ClusterConfig, run_wordcount
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.streams.datasets import get_dataset
 
 DEFAULT_PERIODS = (1.0, 3.0, 6.0, 15.0, 30.0)
 
@@ -44,24 +43,23 @@ class Fig5bRow:
 def _fig5b_cell(cell) -> Fig5bRow:
     """One cluster simulation: (scheme, T); T=0 is the KG reference."""
     dataset, scheme, period, cpu_delay, duration, warmup, seed = cell
-    distribution = get_dataset(dataset).distribution()
-    metrics = run_wordcount(
-        scheme,
-        distribution,
-        ClusterConfig(
-            cpu_delay=cpu_delay,
-            duration=duration,
-            warmup=warmup,
-            aggregation_period=period,
-            seed=seed,
-        ),
+    result = (
+        Topology()
+        .source(dataset)
+        .partition_by(scheme)
+        .workers(cpu_delay=cpu_delay)
+        .aggregate(every=period)
+        .timing(duration, warmup)
+        .seed(seed)
+        .run()
     )
-    p99 = metrics.latency.percentile(99)
+    metrics = result.details
+    p99 = result.latency_p99
     return Fig5bRow(
         scheme=scheme.upper(),
         aggregation_period=period,
-        throughput=metrics.throughput,
-        mean_latency=metrics.latency.mean,
+        throughput=result.throughput,
+        mean_latency=result.latency_mean,
         p99_latency=p99,
         excess_p99_latency=p99 - cpu_delay,
         average_memory_counters=metrics.average_memory_counters,

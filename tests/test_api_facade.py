@@ -121,35 +121,18 @@ class TestArgumentValidation:
 
 
 class TestBackwardCompat:
-    def test_schemes_dict_still_works_with_deprecation(self):
-        import repro.dspe.topology as topo_module
+    def test_topology_accepts_spec_strings(self):
+        from repro.api import Topology
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            schemes = topo_module.SCHEMES
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
+        result = (
+            Topology()
+            .source(ZipfKeyDistribution(1.05, 5_000))
+            .partition_by("pkg:d=3")
+            .timing(duration=2.0, warmup=0.5)
+            .run()
         )
-        # Old call shape: factory(num_workers, seed) -> Partitioner,
-        # and the original key set, as a stable (mutable) object.
-        assert sorted(schemes) == ["kg", "pkg", "sg"]
-        for name in ("kg", "sg", "pkg"):
-            p = schemes[name](5, 0)
-            assert p.num_workers == 5
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert topo_module.SCHEMES is schemes
-
-    def test_run_wordcount_accepts_spec_strings(self):
-        from repro.dspe import ClusterConfig, run_wordcount
-
-        metrics = run_wordcount(
-            "pkg:d=3",
-            ZipfKeyDistribution(1.05, 5_000),
-            ClusterConfig(duration=2.0, warmup=0.5),
-        )
-        assert metrics.scheme == "PKG"
-        assert metrics.throughput > 0
+        assert result.scheme == "PKG"
+        assert result.throughput > 0
 
     def test_direct_construction_still_works(self):
         from repro.partitioning import PartialKeyGrouping

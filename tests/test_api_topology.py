@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Topology, TopologyError, run
+from repro.api import Topology, TopologyError, make_partitioner, run
 from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
 
@@ -97,23 +97,36 @@ class TestValidation:
 
 class TestBuild:
     def test_config_reflects_builder(self):
-        cfg = (
+        cluster = (
             Topology()
+            .source(dist())
             .spouts(2)
             .workers(6, cpu_delay=0.3e-3)
             .straggler(1, 2.0)
             .aggregate(every=5.0)
             .timing(duration=8.0, warmup=2.0)
+            .network(delay=1e-3, emit_cost=0.1e-3, max_pending=10)
             .seed(11)
-            .to_config()
+            .build()
         )
-        assert cfg.num_spouts == 2
-        assert cfg.num_workers == 6
-        assert cfg.cpu_delay == 0.3e-3
-        assert cfg.straggler_worker == 1
-        assert cfg.straggler_factor == 2.0
-        assert cfg.aggregation_period == 5.0
-        assert cfg.seed == 11
+        assert len(cluster.spouts) == 2
+        assert [w.cpu_delay for w in cluster.workers] == [
+            0.3e-3, 0.6e-3, 0.3e-3, 0.3e-3, 0.3e-3, 0.3e-3
+        ]
+        assert cluster.aggregator is not None
+        assert {w.flush_period for w in cluster.workers} == {5.0}
+        assert (cluster.duration, cluster.warmup) == (8.0, 2.0)
+        assert {w.network_delay for w in cluster.workers} == {1e-3}
+        # the emit budget and the pending window are split across spouts
+        assert [(s.emit_cost, s.max_pending) for s in cluster.spouts] == [
+            (0.2e-3, 5), (0.2e-3, 5)
+        ]
+        expected = make_partitioner("pkg", 6, seed=11)
+        for spout in cluster.spouts:
+            assert all(
+                spout.partitioner.candidates(k) == expected.candidates(k)
+                for k in range(100)
+            )
 
     def test_heterogeneous_delays_reach_workers(self):
         delays = [0.1e-3, 0.2e-3, 0.4e-3]
@@ -122,7 +135,7 @@ class TestBuild:
 
     def test_spec_string_configures_partitioner(self):
         cluster = tiny("pkg:d=3").build()
-        assert cluster.partitioner.num_choices == 3
+        assert cluster.spouts[0].partitioner.num_choices == 3
         assert cluster.scheme == "pkg"
 
     def test_dataset_symbol_source(self):
@@ -143,6 +156,13 @@ class TestRun:
         assert result.latency_p99 >= result.latency_p50 >= 0
         assert result.num_workers == 4
         assert result.num_messages > 0
+
+    def test_num_messages_counts_the_loads_population(self):
+        # The imbalance fractions divide load gaps by num_messages, so
+        # both must count the same tuples: every processed one.
+        result = tiny("kg").run()
+        assert result.worker_loads.sum() == result.num_messages
+        assert result.num_messages > result.details.completed
 
     def test_run_deterministic_for_fixed_seed(self):
         a = tiny().seed(5).run()

@@ -209,10 +209,11 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             loop.schedule_at(1.0, lambda: None)
 
-    def test_dspe_simulator_is_event_loop_adapter(self):
-        from repro.dspe.engine import Simulator
+    def test_dspe_cluster_runs_on_event_loop(self):
+        from repro.api import Topology
 
-        assert issubclass(Simulator, EventLoop)
+        cluster = Topology().source("WP").build()
+        assert type(cluster.sim) is EventLoop
 
     def test_max_events_zero_processes_nothing(self):
         loop = EventLoop()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dspe import Simulator
+from repro.core.engine import EventLoop
 from repro.dspe.executors import AggregatorExecutor, SpoutExecutor, Tuple_, WorkerExecutor
 from repro.dspe.metrics import LatencyStats
 from repro.partitioning import ShuffleGrouping
@@ -10,7 +10,7 @@ from repro.partitioning import ShuffleGrouping
 
 class TestSimulator:
     def test_events_run_in_time_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         order = []
         sim.schedule(2.0, lambda: order.append("b"))
         sim.schedule(1.0, lambda: order.append("a"))
@@ -19,7 +19,7 @@ class TestSimulator:
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
-        sim = Simulator()
+        sim = EventLoop()
         order = []
         sim.schedule(1.0, lambda: order.append(1))
         sim.schedule(1.0, lambda: order.append(2))
@@ -27,12 +27,12 @@ class TestSimulator:
         assert order == [1, 2]
 
     def test_clock_advances_to_end(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.run_until(7.5)
         assert sim.now == 7.5
 
     def test_events_beyond_horizon_not_run(self):
-        sim = Simulator()
+        sim = EventLoop()
         ran = []
         sim.schedule(5.0, lambda: ran.append(1))
         sim.run_until(4.0)
@@ -41,7 +41,7 @@ class TestSimulator:
         assert ran
 
     def test_cascading_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         hits = []
 
         def recurse():
@@ -54,7 +54,7 @@ class TestSimulator:
         assert hits == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_cannot_schedule_in_past(self):
-        sim = Simulator()
+        sim = EventLoop()
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
         sim.run_until(5.0)
@@ -62,7 +62,7 @@ class TestSimulator:
             sim.schedule_at(1.0, lambda: None)
 
     def test_max_events(self):
-        sim = Simulator()
+        sim = EventLoop()
         for i in range(10):
             sim.schedule(float(i), lambda: None)
         processed = sim.run_until(100.0, max_events=3)
@@ -70,7 +70,7 @@ class TestSimulator:
         assert sim.pending_events == 7
 
     def test_event_counter(self):
-        sim = Simulator()
+        sim = EventLoop()
         sim.schedule(1.0, lambda: None)
         sim.run_until(2.0)
         assert sim.total_events_processed == 1
@@ -104,11 +104,10 @@ class TestLatencyStats:
 
 class TestExecutors:
     def test_spout_respects_max_pending(self):
-        sim = Simulator()
+        sim = EventLoop()
         latency = LatencyStats()
         worker = WorkerExecutor(
             sim,
-            spout=None,
             cpu_delay=1.0,  # very slow: acks never arrive in time
             network_delay=0.01,
             latency=latency,
@@ -123,18 +122,16 @@ class TestExecutors:
             network_delay=0.01,
             max_pending=3,
         )
-        worker.spout = spout
         spout.start()
         sim.run_until(0.5)
         assert spout.in_flight <= 3
         assert spout.emitted <= 3
 
     def test_worker_processes_fifo_and_acks(self):
-        sim = Simulator()
+        sim = EventLoop()
         latency = LatencyStats()
         worker = WorkerExecutor(
             sim,
-            spout=None,
             cpu_delay=0.01,
             network_delay=0.0,
             latency=latency,
@@ -146,39 +143,32 @@ class TestExecutors:
             def on_ack(self):
                 acks.append(sim.now)
 
-        worker.spout = FakeSpout()
-        worker.enqueue(Tuple_("k", 0.0))
-        worker.enqueue(Tuple_("k", 0.0))
+        spout = FakeSpout()
+        worker.enqueue(Tuple_("k", 0.0, origin=spout))
+        worker.enqueue(Tuple_("k", 0.0, origin=spout))
+        worker.enqueue(Tuple_("k", 0.0))  # no origin: counted, not acked
         sim.run_until(1.0)
-        assert worker.processed == 2
+        assert worker.processed == 3
         assert len(acks) == 2
-        assert worker.counts["k"] == 2
+        assert worker.counts["k"] == 3
 
     def test_latency_only_after_warmup(self):
-        sim = Simulator()
+        sim = EventLoop()
         latency = LatencyStats()
         worker = WorkerExecutor(
             sim,
-            spout=None,
             cpu_delay=0.01,
             network_delay=0.0,
             latency=latency,
             warmup=100.0,
         )
-
-        class FakeSpout:
-            def on_ack(self):
-                pass
-
-        worker.spout = FakeSpout()
         worker.enqueue(Tuple_("k", 0.0))
         sim.run_until(1.0)
         assert latency.count == 0
         assert worker.completed_after_warmup == 0
 
     def test_aggregator_merges_partials(self):
-        sim = Simulator()
-        agg = AggregatorExecutor(sim, entry_cost=0.0)
+        agg = AggregatorExecutor()
         agg.receive({"a": 2, "b": 1})
         agg.receive({"a": 3})
         assert agg.totals == {"a": 5, "b": 1}
@@ -186,12 +176,11 @@ class TestExecutors:
         assert agg.top_k(1) == [("a", 5)]
 
     def test_worker_flush_ships_partials(self):
-        sim = Simulator()
+        sim = EventLoop()
         latency = LatencyStats()
-        agg = AggregatorExecutor(sim)
+        agg = AggregatorExecutor()
         worker = WorkerExecutor(
             sim,
-            spout=None,
             cpu_delay=0.01,
             network_delay=0.0,
             latency=latency,
@@ -200,12 +189,6 @@ class TestExecutors:
             flush_period=0.5,
             flush_entry_cost=0.001,
         )
-
-        class FakeSpout:
-            def on_ack(self):
-                pass
-
-        worker.spout = FakeSpout()
         for _ in range(3):
             worker.enqueue(Tuple_("w", 0.0))
         sim.run_until(2.0)
@@ -214,7 +197,7 @@ class TestExecutors:
         assert worker.flushed_entries == 1
 
     def test_invalid_executor_args(self):
-        sim = Simulator()
+        sim = EventLoop()
         with pytest.raises(ValueError):
             SpoutExecutor(
                 sim, lambda: 1, ShuffleGrouping(1), [], emit_cost=0.0,
@@ -222,6 +205,6 @@ class TestExecutors:
             )
         with pytest.raises(ValueError):
             WorkerExecutor(
-                sim, None, cpu_delay=0.0, network_delay=0.0,
+                sim, cpu_delay=0.0, network_delay=0.0,
                 latency=LatencyStats(), warmup=0.0,
             )

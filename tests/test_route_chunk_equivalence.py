@@ -10,9 +10,8 @@ without changing a single experiment number.
 import numpy as np
 import pytest
 
-from repro.api import available_schemes, make_partitioner
+from repro.api import Topology, available_schemes, make_partitioner
 from repro.core.engine import route_chunked
-from repro.dspe.topology import ClusterConfig, WordCountCluster
 from repro.load import ProbingLoadEstimator, WorkerLoadRegistry
 from repro.partitioning import PartialKeyGrouping
 from repro.streams.distributions import ZipfKeyDistribution
@@ -113,22 +112,18 @@ def test_chunk_replay_reproduces_straggler_cluster_routing(scheme):
     """DSPE equivalence, failure topologies included: replaying the key
     sequence a straggling heterogeneous cluster actually emitted through
     route_chunk reproduces the cluster's routing decisions exactly."""
-    config = ClusterConfig(
-        num_workers=4,
-        duration=2.0,
-        warmup=0.5,
-        straggler_worker=1,
-        straggler_factor=6.0,
-        seed=9,
+    cluster = (
+        Topology()
+        .source(ZipfKeyDistribution(1.5, 800))
+        .partition_by(scheme)
+        .workers(delays=[0.3e-3, 0.5e-3, 0.2e-3, 0.8e-3])
+        .straggler(1, factor=6.0)
+        .timing(duration=2.0, warmup=0.5)
+        .seed(9)
+        .build()
     )
-    recorder = _RecordingPartitioner(make_partitioner(scheme, 4, seed=9))
-    cluster = WordCountCluster(
-        scheme,
-        ZipfKeyDistribution(1.5, 800),
-        config,
-        partitioner=recorder,
-        worker_cpu_delays=[0.3e-3, 0.5e-3, 0.2e-3, 0.8e-3],
-    )
+    spout = cluster.spouts[0]
+    recorder = spout.partitioner = _RecordingPartitioner(spout.partitioner)
     cluster.run()
     assert len(recorder.keys) > 100
 
