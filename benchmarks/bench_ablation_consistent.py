@@ -8,12 +8,12 @@ worker relocates only ~2/W of the candidate sets instead of ~all.
 
 import numpy as np
 
+from repro.core.engine import replay_stream
 from repro.partitioning import (
     ConsistentPartialKeyGrouping,
     KeyGrouping,
     PartialKeyGrouping,
 )
-from repro.simulation import simulate_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -23,11 +23,11 @@ def test_consistent_pkg_balance_and_elasticity(benchmark):
 
     def run():
         return {
-            "pkg": simulate_stream(keys, PartialKeyGrouping(10, seed=1)),
-            "ch_pkg": simulate_stream(
+            "pkg": replay_stream(keys, PartialKeyGrouping(10, seed=1)),
+            "ch_pkg": replay_stream(
                 keys, ConsistentPartialKeyGrouping(10, seed=1)
             ),
-            "kg": simulate_stream(keys, KeyGrouping(10, seed=1)),
+            "kg": replay_stream(keys, KeyGrouping(10, seed=1)),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

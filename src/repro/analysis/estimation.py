@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.bounds import feasible_workers
-from repro.simulation.multisource import simulate_multisource_pkg
+from repro.core.engine import replay_interleaved
 from repro.streams.distributions import KeyDistribution
 
 
@@ -90,8 +90,8 @@ def find_transition_workers(
     fractions = []
     measured: Optional[int] = None
     for w in worker_grid:
-        result = simulate_multisource_pkg(
-            keys, num_workers=w, num_sources=num_sources, seed=seed
+        result = replay_interleaved(
+            keys, w, num_sources=num_sources, seed=seed
         )
         fraction = result.average_imbalance_fraction
         fractions.append(fraction)

@@ -8,25 +8,25 @@ benchmarks can swap paths without reshaping their downstream code.
 
 Both paths also *execute* through one core: the frequency path replays
 on the chunked engine (:func:`repro.core.engine.replay_stream` /
-``replay_per_source``, reached via the thin
-:mod:`repro.simulation` adapters) and the DSPE path schedules on the
-same package's :class:`~repro.core.engine.EventLoop`.
+``replay_per_source``) and the DSPE path schedules on the same
+package's :class:`~repro.core.engine.EventLoop`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Type, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Type, Union
 
 import numpy as np
 
 from repro.api.registry import make_partitioner
+from repro.core.engine import ReplayResult, replay_per_source, replay_stream
+from repro.core.metrics import imbalance
 
 if TYPE_CHECKING:
     from repro.api.topology import Topology
     from repro.dspe.metrics import RunMetrics
     from repro.partitioning.base import Partitioner
-    from repro.simulation.runner import SimulationResult
     from repro.streams.distributions import KeyDistribution
 
 __all__ = ["RunResult", "run"]
@@ -63,7 +63,7 @@ class RunResult:
     latency_max: Optional[float] = None
     average_memory: Optional[float] = None
     peak_memory: Optional[float] = None
-    #: the underlying RunMetrics / SimulationResult, for specialists
+    #: the underlying RunMetrics / ReplayResult, for specialists
     details: Any = field(default=None, repr=False)
 
     @property
@@ -79,25 +79,26 @@ class RunResult:
         return self.final_imbalance / self.num_messages
 
     @classmethod
-    def from_simulation(
-        cls, sim: "SimulationResult", memory_entries: Optional[int] = None
+    def from_replay(
+        cls,
+        replay: ReplayResult,
+        scheme: str,
+        num_sources: int,
+        memory_entries: Optional[int] = None,
     ) -> "RunResult":
-        """Wrap a frequency-only :class:`SimulationResult`."""
+        """Wrap a frequency-only :class:`~repro.core.engine.ReplayResult`."""
+        memory = float(memory_entries) if memory_entries is not None else None
         return cls(
-            scheme=sim.scheme,
-            num_workers=sim.num_workers,
-            num_sources=sim.num_sources,
-            num_messages=sim.num_messages,
-            worker_loads=np.asarray(sim.final_loads),
-            average_imbalance=sim.average_imbalance,
-            final_imbalance=sim.final_imbalance,
-            average_memory=(
-                float(memory_entries) if memory_entries is not None else None
-            ),
-            peak_memory=(
-                float(memory_entries) if memory_entries is not None else None
-            ),
-            details=sim,
+            scheme=scheme,
+            num_workers=replay.num_workers,
+            num_sources=num_sources,
+            num_messages=replay.num_messages,
+            worker_loads=np.asarray(replay.final_loads),
+            average_imbalance=replay.average_imbalance,
+            final_imbalance=replay.final_imbalance,
+            average_memory=memory,
+            peak_memory=memory,
+            details=replay,
         )
 
     @classmethod
@@ -110,15 +111,15 @@ class RunResult:
         ``num_messages`` counts every processed tuple, warmup included.
         """
         loads = np.asarray(metrics.worker_loads, dtype=np.float64)
-        imbalance = float(loads.max() - loads.mean()) if loads.size else 0.0
+        final = imbalance(loads) if loads.size else 0.0
         return cls(
             scheme=metrics.scheme,
             num_workers=len(metrics.worker_loads),
             num_sources=num_sources,
             num_messages=sum(metrics.worker_loads),
             worker_loads=loads,
-            average_imbalance=imbalance,
-            final_imbalance=imbalance,
+            average_imbalance=final,
+            final_imbalance=final,
             throughput=metrics.throughput,
             latency_mean=metrics.latency.mean,
             latency_p50=metrics.latency.percentile(50),
@@ -230,10 +231,10 @@ def run(
 
     # Frequency-only path.
     from repro.partitioning.base import Partitioner
-    from repro.simulation.multisource import simulate_partitioner_per_source
-    from repro.simulation.runner import simulate_stream
 
     num_sources = 1 if num_sources is None else int(num_sources)
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
     seed = 0 if seed is None else int(seed)
     num_checkpoints = 100 if num_checkpoints is None else int(num_checkpoints)
 
@@ -258,17 +259,17 @@ def run(
     else:
         key_array = np.asarray(keys)
 
-    if num_sources <= 1:
+    if num_sources == 1:
         partitioner = make_partitioner(target, num_workers, seed=seed, **scheme_kwargs)
-        sim = simulate_stream(
+        replay = replay_stream(
             key_array,
             partitioner,
             timestamps=timestamps,
             num_checkpoints=num_checkpoints,
             keep_assignments=keep_assignments,
         )
-        return RunResult.from_simulation(
-            sim, memory_entries=partitioner.memory_entries()
+        return RunResult.from_replay(
+            replay, partitioner.name, 1, partitioner.memory_entries()
         )
 
     if isinstance(target, Partitioner):
@@ -276,22 +277,18 @@ def run(
             "multi-source runs need one partitioner per source; pass a "
             "scheme name or spec string instead of a built instance"
         )
-    instances: List[Partitioner] = []
-
-    def per_source(_s: int) -> Partitioner:
-        p = make_partitioner(target, num_workers, seed=seed, **scheme_kwargs)
-        instances.append(p)
-        return p
-
-    sim = simulate_partitioner_per_source(
+    replay, instances = replay_per_source(
         key_array,
-        per_source,
+        lambda _s: make_partitioner(target, num_workers, seed=seed, **scheme_kwargs),
         num_workers,
         num_sources=num_sources,
         timestamps=timestamps,
         num_checkpoints=num_checkpoints,
         keep_assignments=keep_assignments,
     )
-    return RunResult.from_simulation(
-        sim, memory_entries=sum(p.memory_entries() for p in instances)
+    return RunResult.from_replay(
+        replay,
+        instances[0].name,
+        num_sources,
+        sum(p.memory_entries() for p in instances),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+from repro.core.metrics import imbalance
 from repro.partitioning.base import Partitioner
 from repro.partitioning.shuffle import ShuffleGrouping
 from repro.sketches.spacesaving import SpaceSaving
@@ -100,5 +101,4 @@ class DistributedHeavyHitters:
 
     def load_imbalance(self) -> float:
         """I = max - avg of per-worker item counts."""
-        loads = self.worker_loads
-        return max(loads) - sum(loads) / len(loads)
+        return imbalance(self.worker_loads)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core.metrics import imbalance
 from repro.partitioning.base import Partitioner
 
 
@@ -134,8 +135,7 @@ class DistributedWordCount:
 
     def load_imbalance(self) -> float:
         """Worker load imbalance I = max - avg accumulated so far."""
-        loads = self.stats.worker_loads
-        return max(loads) - sum(loads) / len(loads)
+        return imbalance(self.stats.worker_loads)
 
     def replication_of(self, word) -> int:
         """Workers currently holding a live partial for ``word``."""

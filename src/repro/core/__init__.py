@@ -1,18 +1,19 @@
 """The unified chunked execution core.
 
-Every replay path of this reproduction -- the single-source frequency
-simulations (:mod:`repro.simulation.runner`), the multi-source
-interleaved simulations (:mod:`repro.simulation.multisource`), and the
-discrete-event DSPE cluster (:mod:`repro.dspe`) -- executes through
-this package:
+Every replay path of this reproduction -- the single- and multi-source
+frequency simulations (the paper's Q1-Q3) and the discrete-event DSPE
+cluster (:mod:`repro.dspe`) -- executes through this package:
 
 * :mod:`repro.core.chunks` -- stream chunking and key encoding
   (non-integer keys are factorised to int64 ids so hashing is paid
   once per *distinct* key);
-* :mod:`repro.core.metrics` -- streaming checkpoint/imbalance
-  accumulation, so replays never need the full assignment array;
-* :mod:`repro.core.engine` -- the chunked replay engine (and the
-  discrete-event loop the DSPE executors schedule on directly);
+* :mod:`repro.core.metrics` -- the imbalance definition and its
+  streaming checkpoint accumulation, so replays never need the full
+  assignment array, plus the routing-agreement and memory statistics;
+* :mod:`repro.core.engine` -- the chunked replay engine, the only API
+  of the frequency path, with :class:`~repro.core.engine.ReplayResult`
+  as its result type (and the discrete-event loop the DSPE executors
+  schedule on directly);
 * :mod:`repro.core.parallel` -- the deterministic multi-process sweep
   executor (order-preserving :func:`~repro.core.parallel.parallel_map`
   plus the shared-memory materialized stream cache) that experiment
@@ -41,6 +42,7 @@ from repro.core.chunks import (
 from repro.core.engine import (
     EventLoop,
     ReplayResult,
+    assign_sources,
     replay_interleaved,
     replay_per_source,
     replay_stream,
@@ -70,6 +72,7 @@ __all__ = [
     "stream_length",
     "EventLoop",
     "ReplayResult",
+    "assign_sources",
     "replay_interleaved",
     "replay_per_source",
     "replay_stream",

@@ -1,26 +1,26 @@
 """The unified chunked execution engine (and the discrete-event loop).
 
-One replay implementation for every path in the repo:
+One replay implementation for every path in the repo, and the only API
+of the frequency-only simulations (the paper's Section V, Q1-Q3):
 
-* :func:`replay_stream` -- single partitioner, one pass (the old
-  ``simulation.runner`` loop);
+* :func:`replay_stream` -- single partitioner, one pass;
 * :func:`replay_per_source` -- S independent per-source partitioner
-  instances merged back into arrival order (the old
-  ``simulation.multisource`` generic runner);
-* :func:`replay_interleaved` -- S sources sharing the paper's
-  local/global/probing load-estimation modes over one precomputed hash
-  matrix (the old ``simulation.multisource`` hot loop);
+  instances merged back into arrival order;
+* :func:`replay_interleaved` -- S sources running Greedy-d under the
+  paper's local/global/probing load-estimation modes, interleaved in
+  arrival order;
 * :class:`EventLoop` -- the deterministic event heap the DSPE
   executors (:mod:`repro.dspe`) schedule on, with no adapter between.
 
 All stream replays drive fixed-size key chunks through
-``Partitioner.route_chunk`` and feed a
+``Partitioner.route_chunk`` (or :class:`InterleavedRouter`) and feed a
 :class:`~repro.core.metrics.StreamingLoadSeries`, so metrics
-bookkeeping exists exactly once.  The sequential inner loops
-(Greedy-d argmin, first-sight binding, interleaved multi-source
-routing) dispatch to the C kernels of :mod:`repro._native` when a
-compiler is available and to the pure-Python implementations below
-otherwise; both are decision-identical.
+bookkeeping exists exactly once; each returns a :class:`ReplayResult`.
+The sequential inner loops (Greedy-d argmin, first-sight binding,
+interleaved multi-source routing) dispatch to the C kernels of
+:mod:`repro._native` when a compiler is available and to the
+pure-Python implementations below otherwise; both are
+decision-identical.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ from repro.core.chunks import (
     KeyStream,
     StreamLike,
     as_key_array,
+    hashed_buckets,
+    hashed_choices,
     iter_chunks,
     iter_keyed_chunks,
     stream_length,
 )
-from repro.core.metrics import StreamingLoadSeries
+from repro.core.metrics import StreamingLoadSeries, imbalance
+from repro.hashing import HashFamily, HashFunction
 
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
@@ -49,6 +52,7 @@ if TYPE_CHECKING:
 __all__ = [
     "EventLoop",
     "ReplayResult",
+    "assign_sources",
     "replay_stream",
     "replay_per_source",
     "replay_interleaved",
@@ -228,16 +232,10 @@ class InterleavedRouter:
         choices = np.ascontiguousarray(choices, dtype=np.int64)
         sources = np.ascontiguousarray(sources, dtype=np.int64)
         m, d = choices.shape
-        if m and (
-            int(sources.min()) < 0 or int(sources.max()) >= self.num_sources
-        ):
-            # Out-of-range ids would index outside the views matrix --
-            # in the C kernel that is an out-of-bounds write, so reject
-            # before dispatch rather than corrupt memory.
-            raise ValueError(
-                f"source ids must lie in [0, {self.num_sources}), got "
-                f"[{int(sources.min())}, {int(sources.max())}]"
-            )
+        # Out-of-range ids would index outside the views matrix -- in
+        # the C kernel that is an out-of-bounds write, so reject before
+        # dispatch rather than corrupt memory.
+        _check_source_range(sources, self.num_sources)
         if self.mode == "probing":
             if times is None:
                 raise ValueError("probing mode needs per-message times")
@@ -317,14 +315,115 @@ class InterleavedRouter:
 
 @dataclass
 class ReplayResult:
-    """Outcome of one chunked replay, scheme-agnostic."""
+    """Outcome of one chunked replay, scheme-agnostic.
+
+    Besides the raw loads and checkpoint series it derives the paper's
+    statistics: the final and checkpoint-averaged imbalance (Table II)
+    and their normalised "fraction of imbalance" (Figures 2-4).
+    """
 
     num_workers: int
     num_messages: int
     final_loads: np.ndarray
     checkpoint_positions: np.ndarray
     imbalance_series: np.ndarray
+    #: per-message worker assignment (kept only on request; large)
     assignments: Optional[np.ndarray] = None
+
+    @property
+    def final_imbalance(self) -> float:
+        """``I(m)`` at the end of the stream."""
+        return imbalance(self.final_loads)
+
+    @property
+    def average_imbalance(self) -> float:
+        """Mean I(t) over checkpoints -- the Table II statistic."""
+        if self.imbalance_series.size == 0:
+            return 0.0
+        return float(self.imbalance_series.mean())
+
+    @property
+    def average_imbalance_fraction(self) -> float:
+        """Average imbalance / total messages -- the Figure 2 y-axis."""
+        if self.num_messages == 0:
+            return 0.0
+        return self.average_imbalance / self.num_messages
+
+    @property
+    def final_imbalance_fraction(self) -> float:
+        if self.num_messages == 0:
+            return 0.0
+        return self.final_imbalance / self.num_messages
+
+    @property
+    def imbalance_fraction_series(self) -> np.ndarray:
+        """I(t) normalised by messages-so-far (the Figure 3 y-axis)."""
+        positions = np.maximum(self.checkpoint_positions, 1)
+        return self.imbalance_series / positions
+
+
+def _check_source_range(source_ids: np.ndarray, num_sources: int) -> None:
+    if source_ids.size and (
+        int(source_ids.min()) < 0 or int(source_ids.max()) >= num_sources
+    ):
+        raise ValueError(
+            f"source ids must lie in [0, {num_sources}), got "
+            f"[{int(source_ids.min())}, {int(source_ids.max())}]"
+        )
+
+
+def assign_sources(
+    num_messages: int,
+    num_sources: int,
+    source_keys: Optional[KeyStream] = None,
+    seed: int = 0,
+) -> np.ndarray:
+    """Which source PEI handles each message.
+
+    With ``source_keys=None`` messages are spread round-robin (shuffle
+    grouping upstream, the paper's default: "read by multiple
+    independent sources via shuffle grouping").  Otherwise messages are
+    key-grouped on ``source_keys`` -- the skewed split of Q3, where the
+    source key is the graph edge's source vertex.
+    """
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
+    if source_keys is None:
+        return np.arange(num_messages, dtype=np.int64) % num_sources
+    split_keys = as_key_array(source_keys)
+    if split_keys.size != num_messages:
+        raise ValueError("source_keys must have one entry per message")
+    return hashed_buckets(HashFunction(seed=seed ^ 0x5CE5), split_keys, num_sources)
+
+
+def _source_ids(
+    source_ids: Optional[np.ndarray], num_messages: int, num_sources: int
+) -> np.ndarray:
+    """Validated per-message source ids, defaulting to
+    :func:`assign_sources`' round-robin split."""
+    if num_sources < 1:
+        raise ValueError(f"num_sources must be >= 1, got {num_sources}")
+    if source_ids is None:
+        return assign_sources(num_messages, num_sources)
+    ids = np.asarray(source_ids, dtype=np.int64)
+    if ids.size != num_messages:
+        raise ValueError("source_ids must have one entry per message")
+    _check_source_range(ids, num_sources)
+    return ids
+
+
+def _finish(
+    series: StreamingLoadSeries, assignments: Optional[np.ndarray]
+) -> ReplayResult:
+    positions, imbalances = series.finish()
+    return ReplayResult(
+        num_workers=series.num_workers,
+        num_messages=series.num_messages,
+        final_loads=series.loads.copy(),
+        checkpoint_positions=positions,
+        imbalance_series=imbalances,
+        assignments=assignments,
+    )
 
 
 def _as_times(
@@ -392,15 +491,7 @@ def replay_stream(
         series.update(chunk)
         if assignments is not None:
             assignments[start:stop] = chunk
-    positions, imbalances = series.finish()
-    return ReplayResult(
-        num_workers=partitioner.num_workers,
-        num_messages=m,
-        final_loads=series.loads.copy(),
-        checkpoint_positions=positions,
-        imbalance_series=imbalances,
-        assignments=assignments,
-    )
+    return _finish(series, assignments)
 
 
 def replay_per_source(
@@ -420,22 +511,15 @@ def replay_per_source(
     ``partitioner_factory(source_index)`` builds each instance.  Because
     per-source state is private (no shared estimators), routing each
     source's sub-stream in one chunked pass and merging back into
-    arrival order is decision-equivalent to interleaving.  Returns the
-    result and the built instances (for memory accounting).
+    arrival order is decision-equivalent to interleaving.
+    ``source_ids`` defaults to :func:`assign_sources`' round-robin
+    split.  Returns the result and the built instances (for memory
+    accounting).
     """
     keys = as_key_array(keys)
     m = int(keys.size)
     times = _as_times(timestamps, m)
-    if source_ids is None:
-        source_ids = np.arange(m, dtype=np.int64) % max(1, int(num_sources))
-    else:
-        source_ids = np.asarray(source_ids, dtype=np.int64)
-        if source_ids.size != m:
-            raise ValueError("source_ids must have one entry per message")
-        if m and (
-            int(source_ids.min()) < 0 or int(source_ids.max()) >= num_sources
-        ):
-            raise ValueError("source_ids references a source >= num_sources")
+    source_ids = _source_ids(source_ids, m, num_sources)
 
     workers = np.empty(m, dtype=np.int64)
     partitioners: List["Partitioner"] = []
@@ -453,58 +537,49 @@ def replay_per_source(
     series = StreamingLoadSeries(m, num_workers, num_checkpoints)
     for start, stop in iter_chunks(m, chunk_size):
         series.update(workers[start:stop])
-    positions, imbalances = series.finish()
-    return (
-        ReplayResult(
-            num_workers=int(num_workers),
-            num_messages=m,
-            final_loads=series.loads.copy(),
-            checkpoint_positions=positions,
-            imbalance_series=imbalances,
-            assignments=workers if keep_assignments else None,
-        ),
-        partitioners,
-    )
+    return _finish(series, workers if keep_assignments else None), partitioners
 
 
 def replay_interleaved(
-    choice_matrix: np.ndarray,
-    source_ids: np.ndarray,
-    num_sources: int,
+    keys: KeyStream,
     num_workers: int,
     *,
+    num_sources: int = 1,
+    source_ids: Optional[np.ndarray] = None,
     mode: str = "local",
+    num_choices: int = 2,
     probe_period: float = 0.0,
     timestamps: Optional[Sequence[float]] = None,
     num_checkpoints: int = 100,
+    seed: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     keep_assignments: bool = False,
 ) -> ReplayResult:
-    """Replay S interleaved sources sharing a load-estimation mode.
+    """PKG (Greedy-d) with S sources under a load-estimation mode.
 
-    ``choice_matrix`` is the precomputed ``(m, d)`` candidate matrix;
-    decisions interleave in arrival order, so local views, the shared
-    true loads, and probe resyncs evolve exactly as in the paper's
-    multi-source setting.  In probing mode ``timestamps`` defaults to
-    the message index.
+    Each message's ``num_choices`` candidates come from a
+    ``HashFamily(num_choices, seed)``; decisions interleave in arrival
+    order, so local views, the shared true loads, and probe resyncs
+    evolve exactly as in the paper's multi-source setting, and the
+    result's loads are the *true* worker loads summed over all sources.
+
+    ``mode`` is ``"local"`` (the paper's L), ``"global"`` (G, a shared
+    oracle), or ``"probing"`` (LP: local, resynced to the true loads
+    every ``probe_period`` time units).  In probing mode ``timestamps``
+    defaults to the message index.  ``source_ids`` defaults to
+    :func:`assign_sources`' round-robin split.
     """
-    choice_matrix = np.ascontiguousarray(choice_matrix, dtype=np.int64)
-    m = int(choice_matrix.shape[0])
-    if m and (
-        int(choice_matrix.min()) < 0
-        or int(choice_matrix.max()) >= num_workers
-    ):
-        raise ValueError(
-            f"choice_matrix entries must lie in [0, {num_workers})"
-        )
-    source_ids = np.asarray(source_ids, dtype=np.int64)
-    if source_ids.size != m:
-        raise ValueError("source_ids must have one entry per message")
+    keys = as_key_array(keys)
+    m = int(keys.size)
+    source_ids = _source_ids(source_ids, m, num_sources)
+    router = InterleavedRouter(num_sources, num_workers, mode, probe_period)
     times = _as_times(timestamps, m)
     if mode == "probing" and times is None:
         times = np.arange(m, dtype=np.float64)
+    choice_matrix = hashed_choices(
+        HashFamily(size=num_choices, seed=seed), keys, num_workers
+    )
 
-    router = InterleavedRouter(num_sources, num_workers, mode, probe_period)
     series = StreamingLoadSeries(m, num_workers, num_checkpoints)
     assignments = np.empty(m, dtype=np.int64) if keep_assignments else None
     for start, stop in iter_chunks(m, chunk_size):
@@ -516,15 +591,7 @@ def replay_interleaved(
         series.update(chunk)
         if assignments is not None:
             assignments[start:stop] = chunk
-    positions, imbalances = series.finish()
-    return ReplayResult(
-        num_workers=int(num_workers),
-        num_messages=m,
-        final_loads=series.loads.copy(),
-        checkpoint_positions=positions,
-        imbalance_series=imbalances,
-        assignments=assignments,
-    )
+    return _finish(series, assignments)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,35 @@
-"""Streaming checkpoint/imbalance accumulation.
+"""Load-balance metrics and their streaming checkpoint accumulation.
 
-The paper reports the imbalance time series ``I(t)`` sampled at evenly
-spaced checkpoints (Section II; Figures 2-4, Table II).  The batch
-implementation needed the full per-message assignment array;
-:class:`StreamingLoadSeries` accumulates the same statistics one chunk
+All definitions follow Section II of the paper: the load ``Li(t)`` is
+the messages handled by worker i up to time t, and the imbalance is
+``I(t) = max_i Li(t) - avg_i Li(t)`` (:func:`imbalance`, the one
+definition every path uses).  The paper reports ``I(t)`` sampled at
+evenly spaced checkpoints (Figures 2-4, Table II);
+:class:`StreamingLoadSeries` accumulates that series one routed chunk
 at a time, so the engine can route and discard windows while producing
-**bit-identical** positions and imbalance values: loads are integer
-bincounts accumulated in the same order, and the checkpoint grid is a
-pure function of the total message count.
+positions and imbalance values that do not depend on the chunk size:
+loads are integer bincounts, and the checkpoint grid is a pure function
+of the total message count.
+
+The routing-comparison statistics (:func:`jaccard_overlap`,
+:func:`agreement_fraction`) and the memory-cost ones
+(:func:`count_partial_states`, :func:`replication_factor`) take the
+full per-message assignments of a replay run with ``keep_assignments``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
+
+
+def imbalance(loads: Union[Sequence[float], np.ndarray]) -> float:
+    """``I = max(L) - avg(L)`` of a worker-load vector."""
+    values = np.asarray(loads, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError("imbalance of an empty load vector is undefined")
+    return float(values.max() - values.mean())
 
 
 def checkpoint_positions(num_messages: int, num_checkpoints: int = 100) -> np.ndarray:
@@ -46,8 +61,8 @@ class StreamingLoadSeries:
         Number of ``I(t)`` samples; the last lands on the stream end.
 
     Feed every routed chunk, in arrival order, to :meth:`update`; then
-    :meth:`finish` returns ``(positions, imbalances)`` exactly as the
-    batch ``load_series`` did.
+    :meth:`finish` returns ``(positions, imbalances)``, independent of
+    how the stream was cut into chunks.
     """
 
     def __init__(
@@ -72,8 +87,8 @@ class StreamingLoadSeries:
             raise ValueError(
                 f"received {stop} assignments for a {self.num_messages}-message stream"
             )
-        # Split the chunk at every checkpoint boundary it crosses so the
-        # bincount accumulation order matches the batch implementation.
+        # Split the chunk at every checkpoint boundary it crosses so each
+        # checkpoint sees exactly the loads of its prefix.
         prev = start
         while (
             self._next_checkpoint < self.positions.size
@@ -83,9 +98,7 @@ class StreamingLoadSeries:
             self.loads += np.bincount(
                 chunk[prev - start : pos - start], minlength=self.num_workers
             )
-            self.imbalances[self._next_checkpoint] = (
-                self.loads.max() - self.loads.mean()
-            )
+            self.imbalances[self._next_checkpoint] = imbalance(self.loads)
             prev = pos
             self._next_checkpoint += 1
         if prev < stop:
@@ -101,7 +114,7 @@ class StreamingLoadSeries:
 
     def imbalance(self) -> float:
         """Current ``I(t) = max(L) - avg(L)`` over the absorbed prefix."""
-        return float(self.loads.max() - self.loads.mean())
+        return imbalance(self.loads)
 
     def finish(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(positions, imbalances)`` series; requires a full stream."""
@@ -111,3 +124,65 @@ class StreamingLoadSeries:
                 f"{self.num_messages} messages"
             )
         return self.positions, self.imbalances
+
+
+def jaccard_overlap(workers_a: np.ndarray, workers_b: np.ndarray) -> float:
+    """Jaccard overlap of two routings of the same stream.
+
+    Treats each routing as the set of (message, destination) pairs; the
+    intersection is the messages sent to the same worker by both.  This
+    is the statistic behind the paper's Q2 observation that G and L
+    agree on only ~47% of destinations yet balance equally well.
+    """
+    workers_a = np.asarray(workers_a)
+    workers_b = np.asarray(workers_b)
+    if workers_a.shape != workers_b.shape:
+        raise ValueError("routings must cover the same messages")
+    m = workers_a.size
+    if m == 0:
+        return 1.0
+    equal = int((workers_a == workers_b).sum())
+    return equal / (2 * m - equal)
+
+
+def agreement_fraction(workers_a: np.ndarray, workers_b: np.ndarray) -> float:
+    """Fraction of messages routed identically by two schemes."""
+    workers_a = np.asarray(workers_a)
+    workers_b = np.asarray(workers_b)
+    if workers_a.shape != workers_b.shape:
+        raise ValueError("routings must cover the same messages")
+    if workers_a.size == 0:
+        return 1.0
+    return float((workers_a == workers_b).mean())
+
+
+def count_partial_states(keys: np.ndarray, workers: np.ndarray) -> int:
+    """Number of distinct (worker, key) partial states created.
+
+    This is the memory cost of a stateful operator under a given
+    partitioning (Section III-A): key grouping creates exactly K
+    partials, PKG at most 2K, shuffle grouping up to W*K.
+    """
+    keys = np.asarray(keys)
+    workers = np.asarray(workers, dtype=np.int64)
+    if keys.shape != workers.shape:
+        raise ValueError("keys and workers must align")
+    if keys.size == 0:
+        return 0
+    if np.issubdtype(keys.dtype, np.integer):
+        combined = workers.astype(np.int64) * (np.int64(keys.max()) + 1) + keys
+        return int(np.unique(combined).size)
+    return len(set(zip(workers.tolist(), keys.tolist())))
+
+
+def replication_factor(keys: np.ndarray, workers: np.ndarray) -> float:
+    """Average number of workers holding state for each distinct key."""
+    keys = np.asarray(keys)
+    num_keys = (
+        int(np.unique(keys).size)
+        if keys.size
+        else 0
+    )
+    if num_keys == 0:
+        return 0.0
+    return count_partial_states(keys, workers) / num_keys

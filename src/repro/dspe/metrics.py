@@ -7,6 +7,8 @@ from typing import List
 
 import numpy as np
 
+from repro.core.metrics import imbalance
+
 
 class LatencyStats:
     """Online latency statistics with reservoir percentiles.
@@ -75,8 +77,7 @@ class RunMetrics:
     def load_imbalance(self) -> float:
         if not self.worker_loads:
             return 0.0
-        loads = np.asarray(self.worker_loads, dtype=np.float64)
-        return float(loads.max() - loads.mean())
+        return imbalance(self.worker_loads)
 
     def summary(self) -> str:
         return (

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core.engine import replay_interleaved
+from repro.core.metrics import jaccard_overlap
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import jaccard_overlap, simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 
@@ -43,14 +44,13 @@ def run_jaccard(
     spec = get_dataset(dataset)
     keys = dataset_stream_cached(dataset, config.messages_for(spec), config.seed)
     common = dict(
-        num_workers=num_workers,
         num_sources=num_sources,
         seed=config.seed,
         keep_assignments=True,
         num_checkpoints=config.num_checkpoints,
     )
-    g = simulate_multisource_pkg(keys, mode="global", **common)
-    l = simulate_multisource_pkg(keys, mode="local", **common)
+    g = replay_interleaved(keys, num_workers, mode="global", **common)
+    l = replay_interleaved(keys, num_workers, mode="local", **common)
     return JaccardRow(
         dataset=dataset,
         num_workers=num_workers,
@@ -91,15 +91,12 @@ def _dchoices_cell(cell) -> DChoicesRow:
     """One ablation point: Greedy-d on the shared stream."""
     symbol, messages, d, num_workers, seed, num_checkpoints = cell
     keys = dataset_stream_cached(symbol, messages, seed)
-    result = simulate_multisource_pkg(
+    result = replay_interleaved(
         keys,
-        num_workers=num_workers,
-        num_sources=1,
-        mode="local",
+        num_workers,
         num_choices=d,
         seed=seed,
         num_checkpoints=num_checkpoints,
-        scheme_name=f"Greedy-{d}",
     )
     return DChoicesRow(
         num_choices=d,
@@ -165,29 +162,17 @@ def _probing_cell(cell) -> ProbingRow:
      seed, num_checkpoints) = cell
     keys = dataset_stream_cached(symbol, messages, seed)
     timestamps = np.linspace(0.0, stream_minutes, messages)
-    if period == 0.0:
-        result = simulate_multisource_pkg(
-            keys,
-            num_workers=num_workers,
-            num_sources=num_sources,
-            mode="local",
-            timestamps=timestamps,
-            seed=seed,
-            num_checkpoints=num_checkpoints,
-        )
-        label = f"L{num_sources}"
-    else:
-        result = simulate_multisource_pkg(
-            keys,
-            num_workers=num_workers,
-            num_sources=num_sources,
-            mode="probing",
-            probe_period=period,
-            timestamps=timestamps,
-            seed=seed,
-            num_checkpoints=num_checkpoints,
-        )
-        label = f"L{num_sources}P{period:g}"
+    result = replay_interleaved(
+        keys,
+        num_workers,
+        num_sources=num_sources,
+        mode="local" if period == 0.0 else "probing",
+        probe_period=period,
+        timestamps=timestamps,
+        seed=seed,
+        num_checkpoints=num_checkpoints,
+    )
+    label = f"L{num_sources}" if period == 0.0 else f"L{num_sources}P{period:g}"
     return ProbingRow(
         label=label,
         probe_period=period,

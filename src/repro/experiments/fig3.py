@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.engine import replay_interleaved
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 #: dataset -> simulated stream span in hours (mirrors the paper's x-axes)
@@ -61,16 +61,15 @@ def _fig3_cell(cell) -> Fig3Series:
     hours = STREAM_HOURS.get(symbol, 30.0)
     # Timestamps in minutes, spread uniformly over the span.
     timestamps = np.linspace(0.0, hours * 60.0, messages)
-    result = simulate_multisource_pkg(
+    result = replay_interleaved(
         keys,
-        num_workers=w,
+        w,
         num_sources=num_sources,
         mode=mode,
         probe_period=probe_period,
         timestamps=timestamps,
         seed=seed,
         num_checkpoints=num_checkpoints,
-        scheme_name=name,
     )
     positions = result.checkpoint_positions
     return Fig3Series(

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.engine import assign_sources, replay_interleaved
 from repro.core.parallel import edge_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table
-from repro.simulation import assign_sources, simulate_multisource_pkg
 from repro.streams.datasets import get_dataset
 
 
@@ -41,15 +41,13 @@ def _fig4_cell(cell) -> Fig4Row:
         source_ids = assign_sources(
             len(worker_keys), s, source_keys=source_keys, seed=seed
         )
-    result = simulate_multisource_pkg(
+    result = replay_interleaved(
         worker_keys,
-        num_workers=w,
+        w,
         num_sources=s,
-        mode="local",
         source_ids=source_ids,
         seed=seed,
         num_checkpoints=num_checkpoints,
-        scheme_name=f"{split} L{s}",
     )
     return Fig4Row(
         dataset=symbol,

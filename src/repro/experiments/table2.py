@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.api.registry import make_partitioner
+from repro.core.engine import ReplayResult, replay_interleaved, replay_stream
 from repro.core.parallel import dataset_stream_cached, parallel_map
 from repro.experiments.config import ExperimentConfig, format_table, sci
 from repro.partitioning import OfflineGreedy
-from repro.simulation import simulate_multisource_pkg, simulate_stream
 from repro.streams.datasets import get_dataset
 
 SCHEME_ORDER = ("PKG", "Off-Greedy", "On-Greedy", "PoTC", "H")
@@ -41,16 +41,15 @@ class Table2Row:
         return self.average_imbalance / self.num_messages
 
 
-def _run_scheme(scheme: str, keys, num_workers: int, config: ExperimentConfig):
+def _run_scheme(
+    scheme: str, keys, num_workers: int, config: ExperimentConfig
+) -> ReplayResult:
     if scheme == "PKG":
-        return simulate_multisource_pkg(
+        return replay_interleaved(
             keys,
-            num_workers=num_workers,
-            num_sources=1,
-            mode="local",
+            num_workers,
             seed=config.seed,
             num_checkpoints=config.num_checkpoints,
-            scheme_name="PKG",
         )
     if scheme == "Off-Greedy":
         partitioner = OfflineGreedy.from_stream(keys, num_workers)
@@ -60,7 +59,7 @@ def _run_scheme(scheme: str, keys, num_workers: int, config: ExperimentConfig):
         )
     else:
         raise ValueError(f"unknown Table II scheme {scheme!r}")
-    return simulate_stream(
+    return replay_stream(
         keys, partitioner, num_checkpoints=config.num_checkpoints
     )
 

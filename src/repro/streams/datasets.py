@@ -116,7 +116,6 @@ class DatasetSpec:
                 mu=self.params["mu"],
                 sigma=self.params["sigma"],
                 num_keys=self.num_keys,
-                seed=int(self.params.get("seed", 0)),
             )
         raise ValueError(f"unknown dataset kind: {self.kind!r}")
 
@@ -240,7 +239,7 @@ DATASETS: Dict[str, DatasetSpec] = {
         num_keys=16_000,
         default_messages=1_000_000,
         kind="lognormal",
-        params={"mu": 1.789, "sigma": 2.366, "seed": 41},
+        params={"mu": 1.789, "sigma": 2.366},
     ),
     "LN2": DatasetSpec(
         symbol="LN2",
@@ -251,7 +250,7 @@ DATASETS: Dict[str, DatasetSpec] = {
         num_keys=1_100,
         default_messages=1_000_000,
         kind="lognormal",
-        params={"mu": 2.245, "sigma": 1.133, "seed": 42},
+        params={"mu": 2.245, "sigma": 1.133},
     ),
     "LJ": DatasetSpec(
         symbol="LJ",

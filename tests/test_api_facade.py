@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunResult, make_partitioner, run
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 KEYS = ZipfKeyDistribution(1.2, 5_000).sample(
@@ -25,9 +25,9 @@ class TestFrequencyPath:
         assert result.throughput is None
         assert result.latency_mean is None
 
-    def test_matches_direct_simulate_stream(self):
+    def test_matches_direct_replay_stream(self):
         facade = run("pkg", keys=KEYS, num_workers=10, seed=3)
-        direct = simulate_stream(
+        direct = replay_stream(
             KEYS, make_partitioner("pkg", 10, seed=3)
         )
         assert facade.average_imbalance == direct.average_imbalance
@@ -64,6 +64,11 @@ class TestFrequencyPath:
         result = run("pkg", keys=KEYS, num_workers=10, num_sources=5, seed=3)
         assert result.num_sources == 5
         assert result.worker_loads.sum() == KEYS.size
+
+    @pytest.mark.parametrize("num_sources", [0, -3])
+    def test_num_sources_below_one_rejected(self, num_sources):
+        with pytest.raises(ValueError, match="num_sources"):
+            run("pkg", keys=KEYS, num_workers=10, num_sources=num_sources)
 
     def test_multi_source_rejects_instance(self):
         p = make_partitioner("pkg", 10)

@@ -10,7 +10,7 @@ from repro.partitioning import (
     KeyGrouping,
 )
 from repro.partitioning.consistent import relocation_fraction
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -86,8 +86,8 @@ class TestConsistentKeyGrouping:
 
     def test_imbalanced_like_plain_kg_on_skew(self):
         keys = skewed_keys()
-        ch = simulate_stream(keys, ConsistentKeyGrouping(10, seed=1))
-        kg = simulate_stream(keys, KeyGrouping(10, seed=1))
+        ch = replay_stream(keys, ConsistentKeyGrouping(10, seed=1))
+        kg = replay_stream(keys, KeyGrouping(10, seed=1))
         # Both single-choice schemes suffer comparably under skew.
         assert ch.average_imbalance > kg.average_imbalance / 10
 
@@ -100,8 +100,8 @@ class TestConsistentPKG:
 
     def test_balances_like_hash_pkg(self):
         keys = skewed_keys()
-        ch_pkg = simulate_stream(keys, ConsistentPartialKeyGrouping(10, seed=1))
-        kg = simulate_stream(keys, KeyGrouping(10, seed=1))
+        ch_pkg = replay_stream(keys, ConsistentPartialKeyGrouping(10, seed=1))
+        kg = replay_stream(keys, KeyGrouping(10, seed=1))
         assert ch_pkg.average_imbalance < kg.average_imbalance / 10
 
     def test_elastic_removal_moves_few_candidate_sets(self):

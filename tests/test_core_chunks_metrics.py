@@ -13,7 +13,6 @@ from repro.core.chunks import (
 )
 from repro.core.metrics import StreamingLoadSeries, checkpoint_positions
 from repro.hashing import HashFamily, HashFunction
-from repro.simulation.metrics import load_series
 
 
 class TestIterChunks:
@@ -93,7 +92,9 @@ class TestStreamingLoadSeries:
     def test_matches_batch_load_series(self, chunk_size, num_checkpoints):
         rng = np.random.default_rng(3)
         workers = rng.integers(0, 6, size=2_345).astype(np.int64)
-        batch_positions, batch_series = load_series(workers, 6, num_checkpoints)
+        batch = StreamingLoadSeries(workers.size, 6, num_checkpoints)
+        batch.update(workers)
+        batch_positions, batch_series = batch.finish()
 
         streaming = StreamingLoadSeries(workers.size, 6, num_checkpoints)
         for start in range(0, workers.size, chunk_size):

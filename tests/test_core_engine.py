@@ -13,7 +13,6 @@ from repro.core.engine import (
     route_chunked,
 )
 from repro.hashing import HashFamily
-from repro.simulation.metrics import load_series
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -45,9 +44,12 @@ class TestReplayStream:
         result = replay_stream(
             keys, make_partitioner("kg", 5, seed=3), keep_assignments=True
         )
-        positions, series = load_series(result.assignments, 5)
-        assert np.array_equal(result.checkpoint_positions, positions)
-        assert np.array_equal(result.imbalance_series, series)
+        assert result.checkpoint_positions[-1] == keys.size
+        for pos, value in zip(
+            result.checkpoint_positions, result.imbalance_series
+        ):
+            loads = np.bincount(result.assignments[:pos], minlength=5)
+            assert value == loads.max() - loads.mean()
         assert np.array_equal(
             result.final_loads, np.bincount(result.assignments, minlength=5)
         )
@@ -105,8 +107,7 @@ class TestInterleavedRouter:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_per_message_reference(self, mode, d):
         keys = zipf_keys(6_000)
-        family = HashFamily(size=d, seed=8)
-        choices = family.choice_matrix(keys, 5)
+        choices = HashFamily(size=d, seed=8).choice_matrix(keys, 5)
         num_sources = 4
         sources = np.arange(keys.size, dtype=np.int64) % num_sources
         times = np.arange(keys.size, dtype=np.float64)
@@ -139,13 +140,15 @@ class TestInterleavedRouter:
             expected[i] = best
 
         result = replay_interleaved(
-            choices,
-            sources,
-            num_sources,
+            keys,
             5,
+            num_sources=num_sources,
+            source_ids=sources,
             mode=mode,
+            num_choices=d,
             probe_period=probe_period,
             timestamps=times if mode == "probing" else None,
+            seed=8,
             chunk_size=1_111,
             keep_assignments=True,
         )
@@ -168,18 +171,9 @@ class TestInterleavedRouter:
         with pytest.raises(ValueError, match="source ids"):
             router.route(choices, sources)
 
-    def test_out_of_range_choices_rejected(self):
-        keys = np.zeros((5, 2), dtype=np.int64)
-        bad = keys.copy()
-        bad[3, 1] = 7
-        with pytest.raises(ValueError, match="choice_matrix"):
-            replay_interleaved(bad, np.zeros(5, dtype=np.int64), 1, 4)
-
-    def test_negative_source_ids_rejected_by_adapter(self):
-        from repro.simulation.multisource import simulate_multisource_pkg
-
+    def test_negative_source_ids_rejected_by_replay(self):
         with pytest.raises(ValueError, match="source"):
-            simulate_multisource_pkg(
+            replay_interleaved(
                 np.arange(6, dtype=np.int64),
                 num_workers=3,
                 num_sources=2,

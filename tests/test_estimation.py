@@ -36,12 +36,12 @@ class TestGrowthFit:
 
     def test_feasible_vs_infeasible_regimes_differ(self):
         """PKG's trajectory: sublinear below threshold, linear above."""
-        from repro.simulation import simulate_multisource_pkg
+        from repro.core.engine import replay_interleaved
 
         dist = ZipfKeyDistribution(1.0, 5000)  # p1 ~ 10.5%, threshold ~19
         keys = dist.sample(100_000, np.random.default_rng(0))
-        feasible = simulate_multisource_pkg(keys, num_workers=5)
-        infeasible = simulate_multisource_pkg(keys, num_workers=60)
+        feasible = replay_interleaved(keys, num_workers=5)
+        infeasible = replay_interleaved(keys, num_workers=60)
         a_feasible = fit_imbalance_growth(
             feasible.checkpoint_positions, feasible.imbalance_series
         )

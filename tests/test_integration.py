@@ -12,12 +12,8 @@ from repro import (
 from repro.analysis import feasible_workers, imbalance_lower_bound_hot_key
 from repro.applications import DistributedWordCount, exact_top_k
 from repro.load import GlobalOracleEstimator, LocalLoadEstimator
-from repro.simulation import (
-    count_partial_states,
-    jaccard_overlap,
-    simulate_multisource_pkg,
-    simulate_stream,
-)
+from repro.core.engine import replay_interleaved, replay_stream
+from repro.core.metrics import count_partial_states, jaccard_overlap
 from repro.streams import get_dataset
 
 
@@ -29,8 +25,8 @@ class TestDatasetToPartitioner:
         return get_dataset("WP").stream(120_000, seed=5)
 
     def test_pkg_beats_hashing_orders_of_magnitude(self, wp_keys):
-        pkg = simulate_multisource_pkg(wp_keys, num_workers=5, num_sources=5)
-        kg = simulate_stream(wp_keys, KeyGrouping(5))
+        pkg = replay_interleaved(wp_keys, num_workers=5, num_sources=5)
+        kg = replay_stream(wp_keys, KeyGrouping(5))
         assert pkg.average_imbalance < kg.average_imbalance / 100
 
     def test_transition_at_feasibility_threshold(self, wp_keys):
@@ -39,8 +35,8 @@ class TestDatasetToPartitioner:
         spec = get_dataset("WP")
         p1 = spec.paper_p1_percent / 100.0
         threshold = feasible_workers(p1)  # ~21 for WP
-        below = simulate_multisource_pkg(wp_keys, num_workers=5)
-        above = simulate_multisource_pkg(wp_keys, num_workers=100)
+        below = replay_interleaved(wp_keys, num_workers=5)
+        above = replay_interleaved(wp_keys, num_workers=100)
         assert below.average_imbalance_fraction < 1e-3
         assert above.average_imbalance_fraction > 1e-3
         assert 5 < threshold < 100
@@ -51,15 +47,15 @@ class TestDatasetToPartitioner:
         w = 100
         p1 = get_dataset("WP").paper_p1_percent / 100.0
         bound = imbalance_lower_bound_hot_key(m, w, p1)
-        result = simulate_multisource_pkg(wp_keys, num_workers=w)
+        result = replay_interleaved(wp_keys, num_workers=w)
         assert result.final_imbalance >= 0.5 * bound
 
     def test_local_vs_global_different_routes_same_balance(self, wp_keys):
-        g = simulate_multisource_pkg(
+        g = replay_interleaved(
             wp_keys, num_workers=10, num_sources=5, mode="global",
             keep_assignments=True,
         )
-        l = simulate_multisource_pkg(
+        l = replay_interleaved(
             wp_keys, num_workers=10, num_sources=5, mode="local",
             keep_assignments=True,
         )
@@ -123,7 +119,7 @@ class TestEndToEndWordCount:
             (PartialKeyGrouping(8), 2 * distinct),
             (ShuffleGrouping(8), 8 * distinct),
         ):
-            result = simulate_stream(keys, partitioner, keep_assignments=True)
+            result = replay_stream(keys, partitioner, keep_assignments=True)
             states = count_partial_states(keys, result.assignments)
             assert states <= bound
 
@@ -132,7 +128,7 @@ class TestDriftRobustness:
     def test_pkg_absorbs_ct_drift(self):
         """Q3: PKG stays balanced under popularity drift."""
         keys = get_dataset("CT").stream(100_000, seed=6)
-        result = simulate_multisource_pkg(keys, num_workers=10, num_sources=5)
-        kg = simulate_stream(keys, KeyGrouping(10))
+        result = replay_interleaved(keys, num_workers=10, num_sources=5)
+        kg = replay_stream(keys, KeyGrouping(10))
         assert result.average_imbalance < kg.average_imbalance / 3
         assert result.average_imbalance_fraction < 0.01

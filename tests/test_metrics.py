@@ -1,18 +1,34 @@
-"""Tests for simulation metrics (imbalance, series, Jaccard, memory)."""
+"""Tests for the load-balance metrics (imbalance, series, Jaccard, memory)."""
 
 import numpy as np
 import pytest
 
-from repro.simulation.metrics import (
+from repro.core.engine import ReplayResult
+from repro.core.metrics import (
+    StreamingLoadSeries,
     agreement_fraction,
-    average_imbalance,
     count_partial_states,
     imbalance,
-    imbalance_fraction,
     jaccard_overlap,
-    load_series,
     replication_factor,
 )
+
+
+def one_shot_series(workers, num_workers, num_checkpoints=100):
+    """``(positions, imbalances)`` of a whole routed stream in one update."""
+    series = StreamingLoadSeries(len(workers), num_workers, num_checkpoints)
+    series.update(np.asarray(workers, dtype=np.int64))
+    return series.finish()
+
+
+def replay_result(loads, num_messages):
+    return ReplayResult(
+        num_workers=len(loads),
+        num_messages=num_messages,
+        final_loads=np.asarray(loads, dtype=np.int64),
+        checkpoint_positions=np.array([], dtype=np.int64),
+        imbalance_series=np.array([]),
+    )
 
 
 class TestImbalance:
@@ -30,47 +46,56 @@ class TestImbalance:
             imbalance([])
 
     def test_fraction(self):
-        assert imbalance_fraction([10, 0, 2]) == pytest.approx(6.0 / 12.0)
+        result = replay_result([10, 0, 2], num_messages=12)
+        assert result.final_imbalance_fraction == pytest.approx(6.0 / 12.0)
 
     def test_fraction_empty_loads(self):
-        assert imbalance_fraction([0, 0]) == 0.0
+        assert replay_result([0, 0], num_messages=0).final_imbalance_fraction == 0.0
 
 
 class TestLoadSeries:
     def test_checkpoint_positions_end_at_stream(self):
         workers = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        positions, series = load_series(workers, 2, num_checkpoints=4)
+        positions, series = one_shot_series(workers, 2, num_checkpoints=4)
         assert positions[-1] == 8
         assert series[-1] == 0.0
 
     def test_series_matches_prefix_imbalance(self):
         workers = np.array([0, 0, 0, 1, 1, 2])
-        positions, series = load_series(workers, 3, num_checkpoints=6)
+        positions, series = one_shot_series(workers, 3, num_checkpoints=6)
         for pos, value in zip(positions, series):
             loads = np.bincount(workers[:pos], minlength=3)
             assert value == pytest.approx(loads.max() - loads.mean())
 
     def test_empty_stream(self):
-        positions, series = load_series(np.array([], dtype=np.int64), 2)
+        positions, series = one_shot_series(np.array([], dtype=np.int64), 2)
         assert positions.size == 0 and series.size == 0
 
     def test_more_checkpoints_than_messages(self):
         workers = np.array([0, 1, 1])
-        positions, _ = load_series(workers, 2, num_checkpoints=100)
+        positions, _ = one_shot_series(workers, 2, num_checkpoints=100)
         assert positions.size <= 3
 
     def test_average_imbalance(self):
         workers = np.array([0] * 10)
-        assert average_imbalance(workers, 2, num_checkpoints=5) > 0
+        positions, series = one_shot_series(workers, 2, num_checkpoints=5)
+        result = ReplayResult(
+            num_workers=2,
+            num_messages=10,
+            final_loads=np.bincount(workers, minlength=2),
+            checkpoint_positions=positions,
+            imbalance_series=series,
+        )
+        assert result.average_imbalance > 0
 
     def test_unused_workers_count_toward_mean(self):
         workers = np.zeros(10, dtype=np.int64)
-        _, series = load_series(workers, 5, num_checkpoints=1)
+        _, series = one_shot_series(workers, 5, num_checkpoints=1)
         assert series[0] == pytest.approx(10 - 2.0)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            load_series(np.array([0]), 0)
+            StreamingLoadSeries(1, 0)
 
 
 class TestJaccard:

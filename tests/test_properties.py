@@ -11,11 +11,11 @@ from repro.partitioning import (
     PartialKeyGrouping,
     ShuffleGrouping,
 )
-from repro.simulation.metrics import (
+from repro.core.metrics import (
+    StreamingLoadSeries,
     count_partial_states,
     imbalance,
     jaccard_overlap,
-    load_series,
 )
 from repro.sketches import SpaceSaving, StreamingHistogram
 
@@ -106,7 +106,9 @@ class TestMetricProperties:
     @settings(max_examples=30)
     def test_load_series_final_matches_total(self, keys, n):
         workers = np.array([k % n for k in keys])
-        positions, series = load_series(workers, n, num_checkpoints=7)
+        streaming = StreamingLoadSeries(workers.size, n, num_checkpoints=7)
+        streaming.update(workers)
+        positions, series = streaming.finish()
         loads = np.bincount(workers, minlength=n)
         assert series[-1] == pytest.approx(loads.max() - loads.mean())
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.partitioning import KeyGrouping, RebalancingKeyGrouping
-from repro.simulation import simulate_stream
+from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
 
 
@@ -57,8 +57,8 @@ class TestRebalancing:
 
     def test_improves_on_plain_kg(self):
         keys = skewed_keys()
-        plain = simulate_stream(keys, KeyGrouping(5, seed=0))
-        rb = simulate_stream(
+        plain = replay_stream(keys, KeyGrouping(5, seed=0))
+        rb = replay_stream(
             keys,
             RebalancingKeyGrouping(
                 5, check_interval=2000, imbalance_threshold=0.05, seed=0
