@@ -6,15 +6,9 @@ so the full suite completes in minutes; the committed EXPERIMENTS.md
 numbers come from persisted artifacts instead (regenerate with
 ``python -m repro.reports run`` / ``render``).  Each bench *asserts the
 paper's qualitative claim* so a regression in any algorithm fails the
-suite.
-
-After a full pytest-benchmark session the measured timings are also
-snapshotted into ``BENCH_partitioners.json`` / ``BENCH_experiments.json``
-at the repo root (same writers as ``python -m repro.reports bench``),
-so the perf trajectory accumulates in git history.
+suite.  Timings are printed by pytest-benchmark and never written to
+the repository; the repository's performance record is ``perfbench/``.
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -50,54 +44,3 @@ def micro_config():
 def run_once(benchmark, fn, *args, **kwargs):
     """Run a heavy harness exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-#: bench modules whose timings go into BENCH_partitioners.json; every
-#: other bench lands in BENCH_experiments.json.
-_PARTITIONER_SUITE_MODULES = ("bench_partitioner_throughput",)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Snapshot pytest-benchmark timings into BENCH_*.json at repo root.
-
-    Best-effort by design: only runs when benchmarks actually executed
-    (not under ``--collect-only`` / failed sessions) and never turns a
-    green bench run red.
-    """
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None or exitstatus != 0:
-        return
-    try:
-        from repro.reports.bench import merge_bench_results, write_bench_snapshot
-
-        suites = {"partitioners": [], "experiments": []}
-        for bench in bench_session.benchmarks:
-            stats = getattr(bench, "stats", None)
-            if stats is None:
-                continue
-            module = bench.fullname.split("::")[0]
-            suite = (
-                "partitioners"
-                if any(m in module for m in _PARTITIONER_SUITE_MODULES)
-                else "experiments"
-            )
-            suites[suite].append(
-                {
-                    "name": bench.name,
-                    "duration_seconds": stats.mean,
-                    "rounds": stats.rounds,
-                }
-            )
-        root = Path(__file__).resolve().parent.parent
-        for suite, results in suites.items():
-            if results:
-                # Merge so a partial run (one module, -k subset) updates
-                # its own entries without erasing the rest of the
-                # committed trajectory.
-                merged = merge_bench_results(suite, results, directory=root)
-                path = write_bench_snapshot(
-                    suite, merged, directory=root, source="pytest-benchmark"
-                )
-                print(f"\n[bench] wrote {path} ({len(merged)} entries)")
-    except Exception as exc:  # pragma: no cover - snapshot must not fail CI
-        print(f"\n[bench] could not write BENCH snapshots: {exc!r}")

@@ -17,7 +17,7 @@ operator:
 plus the **experiment report entry points** re-exported from
 :mod:`repro.reports` (:func:`run_experiments`, :func:`render_markdown`,
 :func:`diff_artifacts`, :func:`load_artifacts`) -- persisted JSON
-artifacts, the generated EXPERIMENTS.md, and BENCH_*.json snapshots.
+artifacts and the generated EXPERIMENTS.md.
 
 Quickstart::
 
@@ -84,7 +84,7 @@ _LAZY_EXPORTS: Dict[str, str] = {
     "TopologyError": "repro.api.topology",
     "run": "repro.api.facade",
     "RunResult": "repro.api.facade",
-    # Experiment report pipeline (artifacts, EXPERIMENTS.md, BENCH_*.json).
+    # Experiment report pipeline (artifacts, EXPERIMENTS.md).
     "run_experiments": "repro.reports",
     "render_markdown": "repro.reports",
     "diff_artifacts": "repro.reports",

@@ -87,8 +87,8 @@ def pool_usable() -> bool:
 
     Restricted sandboxes can block process creation; :func:`parallel_map`
     then silently falls back to serial.  Probed once per process (and
-    kept current by every ``parallel_map`` call) so callers recording
-    job counts (the ``_sweep`` bench entry) report the width sweeps
+    kept current by every ``parallel_map`` call) so callers reporting
+    job counts (``reports run``'s sweep line) report the width sweeps
     really ran at, not the width they asked for.
     """
     global _POOL_USABLE

@@ -30,8 +30,8 @@ class Fig5aRow:
     mean_latency: float
     p99_latency: float
     #: p99 sojourn minus the per-message CPU delay: pure queueing tail,
-    #: comparable across delay settings (and with the sharded runtime's
-    #: p99 sojourn entries in BENCH_partitioners.json).
+    #: comparable across delay settings (and with the p99 sojourn the
+    #: sharded runtime reports).
     excess_p99_latency: float
     load_imbalance: float
 

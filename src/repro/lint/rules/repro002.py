@@ -15,7 +15,7 @@ that make routing decisions or accumulate routing metrics:
 "Hot path" is determined by directory name: any file under a
 ``partitioning``, ``core``, ``hashing``, ``load``, ``sketches``,
 ``queueing``, or ``runtime`` directory.  Timing *harnesses*
-(``repro.reports.bench``, experiment CLIs) live outside those trees
+(``repro.reports.pipeline``, experiment CLIs) live outside those trees
 and may measure wall-clock freely.  The sharded runtime
 (``repro.runtime``) does stamp enqueue times with ``perf_counter`` --
 those reads carry explicit ``# repro: noqa[REPRO002]`` suppressions

@@ -1,9 +1,9 @@
 """``repro.reports``: the experiment artifact pipeline.
 
 Persists every experiment harness run as a versioned JSON artifact,
-renders EXPERIMENTS.md from the artifacts on disk, diffs two artifact
-sets for metric regressions, and snapshots per-PR perf numbers into
-``BENCH_*.json`` at the repo root.
+renders EXPERIMENTS.md from the artifacts on disk, and diffs two
+artifact sets for metric regressions.  Performance is measured by the
+repository benchmark in ``perfbench/``, not here.
 
 Library surface::
 
@@ -16,18 +16,12 @@ Library surface::
 
 CLI surface (see ``python -m repro.reports --help``)::
 
-    python -m repro.reports run --scale 0.1      # results/*.json + BENCH
+    python -m repro.reports run --scale 0.1      # -> results/*.json
     python -m repro.reports render               # -> EXPERIMENTS.md
     python -m repro.reports render --check       # CI freshness gate
     python -m repro.reports diff old/ results/   # exit 1 on regression
-    python -m repro.reports bench                # BENCH_partitioners.json
 """
 
-from repro.reports.bench import (
-    bench_partitioners,
-    load_bench_snapshot,
-    write_bench_snapshot,
-)
 from repro.reports.diffing import (
     DiffReport,
     MetricChange,
@@ -70,7 +64,4 @@ __all__ = [
     "load_artifact_set",
     "DiffReport",
     "MetricChange",
-    "bench_partitioners",
-    "write_bench_snapshot",
-    "load_bench_snapshot",
 ]

@@ -2,14 +2,12 @@
 
 Subcommands:
 
-* ``run``    -- run experiment harnesses, write ``results/*.json``
-  artifacts and a ``BENCH_experiments.json`` timing snapshot;
+* ``run``    -- run experiment harnesses and write ``results/*.json``
+  artifacts (each manifest records its harness's duration);
 * ``render`` -- regenerate EXPERIMENTS.md from the artifacts on disk
   (``--check`` only verifies freshness, for CI);
 * ``diff``   -- compare two artifact sets and exit non-zero on metric
-  regressions beyond ``--tolerance``;
-* ``bench``  -- measure raw partitioner routing throughput and write
-  ``BENCH_partitioners.json``.
+  regressions beyond ``--tolerance``.
 
 Typical PR flow::
 
@@ -22,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
-from repro.reports.bench import bench_partitioners, write_bench_snapshot
+from repro.core.parallel import effective_jobs
 from repro.reports.diffing import diff_artifacts, load_artifact_set
 from repro.reports.harnesses import harness_names
 from repro.reports.pipeline import (
     DEFAULT_RESULTS_DIR,
-    bench_entries_from_artifacts,
     reduced_config,
     run_experiments,
 )
@@ -71,11 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "identical at any job count)")
     run_p.add_argument("--out", default=DEFAULT_RESULTS_DIR,
                        help="artifact directory (default: results/)")
-    run_p.add_argument("--bench-out", default=".",
-                       help="directory for BENCH_experiments.json "
-                            "(default: repo root '.')")
-    run_p.add_argument("--no-bench", action="store_true",
-                       help="skip the BENCH_experiments.json snapshot")
 
     render_p = sub.add_parser("render", help="regenerate EXPERIMENTS.md")
     render_p.add_argument("--results", default=DEFAULT_RESULTS_DIR,
@@ -94,22 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "regressed (default 0.25)")
     diff_p.add_argument("--verbose", action="store_true",
                         help="also list unchanged metrics")
-
-    bench_p = sub.add_parser("bench", help="partitioner throughput snapshot")
-    bench_p.add_argument("--messages", type=int, default=200_000)
-    bench_p.add_argument("--workers", type=int, default=10)
-    bench_p.add_argument("--seed", type=int, default=42)
-    bench_p.add_argument("--out", default=".",
-                         help="directory for BENCH_partitioners.json")
     return parser
 
 
 def _cmd_run(args) -> int:
-    import time
-
     config = reduced_config(args.scale, seed=args.seed)
     start = time.perf_counter()
-    artifacts = run_experiments(
+    run_experiments(
         names=args.experiments,
         config=config,
         out_dir=args.out,
@@ -117,15 +101,10 @@ def _cmd_run(args) -> int:
         jobs=args.jobs,
     )
     wall_clock = time.perf_counter() - start
-    if not args.no_bench:
-        path = write_bench_snapshot(
-            "experiments",
-            bench_entries_from_artifacts(
-                artifacts, sweep_wall_clock_seconds=wall_clock, jobs=args.jobs
-            ),
-            directory=args.bench_out,
-        )
-        print(f"wrote {path} (sweep wall clock {wall_clock:.1f}s)")
+    # The width the sweep really ran at: pool-availability corrected,
+    # so a sandboxed serial fallback is not reported as parallel.
+    jobs = effective_jobs(args.jobs)
+    print(f"sweep wall clock {wall_clock:.1f}s at jobs={jobs}")
     return 0
 
 
@@ -156,24 +135,12 @@ def _cmd_diff(args) -> int:
     return 1 if report.has_regressions else 0
 
 
-def _cmd_bench(args) -> int:
-    results = bench_partitioners(
-        num_messages=args.messages, num_workers=args.workers, seed=args.seed
-    )
-    path = write_bench_snapshot("partitioners", results, directory=args.out)
-    for entry in results:
-        print(f"{entry['name']:14s} {entry['keys_per_second']:12.0f} keys/s")
-    print(f"wrote {path}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "run": _cmd_run,
         "render": _cmd_render,
         "diff": _cmd_diff,
-        "bench": _cmd_bench,
     }[args.command]
     try:
         return handler(args)

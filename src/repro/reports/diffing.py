@@ -3,10 +3,7 @@
 ``python -m repro.reports diff OLD NEW`` loads both artifact sets
 (directories of ``*.json`` or single files), matches metrics by name,
 and classifies each pair using the metric's declared direction.
-``BENCH_*.json`` snapshots are accepted too: each scheme's
-``keys_per_second`` becomes a higher-is-better metric, which is how the
-CI ``bench-smoke`` job gates routing-throughput regressions against the
-committed snapshot.  Classification:
+Classification:
 
 * ``regressed`` -- the value moved in the *worse* direction by more
   than the relative tolerance (and more than the absolute floor, so
@@ -20,16 +17,13 @@ The CLI exits non-zero iff any metric regressed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping
 
 from repro.reports.schema import (
-    BENCH_KIND,
     ExperimentArtifact,
     Metric,
-    RunManifest,
     SchemaError,
     load_artifact,
     load_artifacts,
@@ -40,7 +34,6 @@ __all__ = [
     "DiffReport",
     "diff_artifacts",
     "load_artifact_set",
-    "bench_snapshot_artifact",
 ]
 
 #: Ignore absolute movements below this: imbalance fractions of 1e-7 vs
@@ -167,124 +160,12 @@ def diff_artifacts(
     return DiffReport(changes=changes, tolerance=tolerance)
 
 
-def bench_snapshot_artifact(data: Mapping) -> ExperimentArtifact:
-    """View a ``BENCH_*.json`` snapshot as a diffable artifact.
-
-    Every result entry's ``keys_per_second`` becomes one
-    higher-is-better metric named ``<scheme>.keys_per_second``, so the
-    standard diff gate (tolerance, direction, exit code) applies to
-    throughput trajectories unchanged.  The sharded runtime's
-    ``<scheme>@e2e`` entries map the same way:
-    ``e2e_messages_per_second`` is higher-is-better;
-    ``p99_sojourn_seconds``, the per-stage transport breakdown
-    (``route_seconds`` / ``scatter_seconds`` / ``flush_stall_seconds``
-    / ``drain_seconds`` / ``recovery_seconds``), the
-    ``transport_overhead_ratio`` and the robustness counters (``lost``,
-    ``restarts``, ``stall_timeouts``) are lower-is-better.
-    Suite-level entries
-    carrying ``sweep_wall_clock_seconds`` (the experiments-sweep wall
-    clock written by ``repro.reports run``) become lower-is-better
-    metrics, so the parallel executor's end-to-end time is gated the
-    same way.
-    """
-    manifest = data.get("manifest", {}) or {}
-    metrics = []
-    for entry in data.get("results", []):
-        if not isinstance(entry, dict) or not entry.get("name"):
-            continue
-        if "keys_per_second" in entry:
-            metrics.append(
-                Metric(
-                    name=f"{entry['name']}.keys_per_second",
-                    value=float(entry["keys_per_second"]),
-                    direction="higher",
-                )
-            )
-        if "e2e_messages_per_second" in entry:
-            metrics.append(
-                Metric(
-                    name=f"{entry['name']}.e2e_messages_per_second",
-                    value=float(entry["e2e_messages_per_second"]),
-                    direction="higher",
-                )
-            )
-        if "p99_sojourn_seconds" in entry:
-            metrics.append(
-                Metric(
-                    name=f"{entry['name']}.p99_sojourn_seconds",
-                    value=float(entry["p99_sojourn_seconds"]),
-                    direction="lower",
-                )
-            )
-        # The e2e transport breakdown: every stage second and the
-        # overhead ratio shrink as the transport path gets cheaper, so
-        # all are lower-is-better and gated like the throughputs.
-        for stage_field in (
-            "route_seconds",
-            "scatter_seconds",
-            "flush_stall_seconds",
-            "drain_seconds",
-            "recovery_seconds",
-            "transport_overhead_ratio",
-            # Robustness telemetry: messages lost, worker respawns and
-            # pushes that tripped their deadline all shrink as the
-            # runtime gets more resilient.
-            "lost",
-            "restarts",
-            "stall_timeouts",
-        ):
-            if stage_field in entry:
-                metrics.append(
-                    Metric(
-                        name=f"{entry['name']}.{stage_field}",
-                        value=float(entry[stage_field]),
-                        direction="lower",
-                    )
-                )
-        if "sweep_wall_clock_seconds" in entry:
-            # The job count is part of the metric name: wall clocks are
-            # only like-for-like at the same fan-out width, so runs at
-            # different widths diff as added/removed (informational)
-            # instead of as regressions.
-            name = f"{entry['name']}.sweep_wall_clock_seconds"
-            if entry.get("jobs") is not None:
-                name = f"{name}@jobs={int(entry['jobs'])}"
-            metrics.append(
-                Metric(
-                    name=name,
-                    value=float(entry["sweep_wall_clock_seconds"]),
-                    direction="lower",
-                )
-            )
-    return ExperimentArtifact(
-        experiment=f"bench-{data.get('suite', 'unknown')}",
-        paper_section="",
-        manifest=RunManifest(
-            seed=0,
-            scale=1.0,
-            git_sha=str(manifest.get("git_sha", "unknown")) or "unknown",
-            created_utc=str(manifest.get("created_utc", "unknown")) or "unknown",
-        ),
-        records=[e for e in data.get("results", []) if isinstance(e, dict)],
-        metrics=metrics,
-    )
-
-
 def load_artifact_set(path) -> Dict[str, ExperimentArtifact]:
-    """Load an artifact set: a directory, artifact file, or bench snapshot."""
+    """Load an artifact set: a directory or a single artifact file."""
     path = Path(path)
     if path.is_dir():
         return load_artifacts(path)
     if not path.exists():
         raise SchemaError(f"artifact path {path} does not exist")
-    try:
-        kind = json.loads(path.read_text()).get("kind")
-    except (ValueError, AttributeError):
-        kind = None
-    if kind == BENCH_KIND:
-        from repro.reports.bench import load_bench_snapshot
-
-        artifact = bench_snapshot_artifact(load_bench_snapshot(path))
-        return {artifact.experiment: artifact}
     artifact = load_artifact(path)
     return {artifact.experiment: artifact}

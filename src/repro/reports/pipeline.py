@@ -3,10 +3,9 @@
 This is the engine behind ``python -m repro.reports run``: for each
 requested experiment it runs the harness under one shared
 :class:`ExperimentConfig`, wraps the rows into a validated
-:class:`ExperimentArtifact`, writes it to the artifact directory, and
-(optionally) records the per-experiment wall-clock durations as a
-``BENCH_experiments.json`` snapshot at the repo root so the perf
-trajectory accumulates PR over PR.
+:class:`ExperimentArtifact` and writes it to the artifact directory.
+Each artifact's manifest records its harness's wall-clock
+``duration_seconds``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.experiments import ExperimentConfig
 from repro.reports.harnesses import get_harness, harness_names
@@ -99,44 +98,3 @@ def run_experiments(
         if progress:
             progress(f"{name}: {len(rows)} records in {duration:.1f}s -> {path}")
     return artifacts
-
-
-#: name of the suite-level entry in BENCH_experiments.json
-SUITE_ENTRY = "_sweep"
-
-
-def bench_entries_from_artifacts(
-    artifacts: Dict[str, ExperimentArtifact],
-    sweep_wall_clock_seconds: Optional[float] = None,
-    jobs: Optional[int] = None,
-) -> List[dict]:
-    """Per-experiment wall-clock timings for ``BENCH_experiments.json``.
-
-    When ``sweep_wall_clock_seconds`` is given, a suite-level entry
-    (:data:`SUITE_ENTRY`) records the end-to-end sweep wall clock and
-    the job count it ran with -- the perf-trajectory metric for the
-    parallel executor.
-    """
-    entries = [
-        {
-            "name": name,
-            "duration_seconds": artifacts[name].manifest.duration_seconds,
-            "records": len(artifacts[name].records),
-        }
-        for name in sorted(artifacts)
-    ]
-    if sweep_wall_clock_seconds is not None:
-        from repro.core.parallel import effective_jobs
-
-        entries.append(
-            {
-                "name": SUITE_ENTRY,
-                "sweep_wall_clock_seconds": float(sweep_wall_clock_seconds),
-                # The width the sweep really ran at: pool-availability
-                # corrected, so a sandboxed serial fallback is not
-                # recorded as a parallel measurement.
-                "jobs": effective_jobs(jobs),
-                "experiments": len(artifacts),
-            }
-        )
-    return entries

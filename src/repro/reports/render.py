@@ -30,9 +30,8 @@ Every table/figure of *"The Power of Both Choices"* (ICDE 2015) is
 reproduced by a harness in `src/repro/experiments/`; each run persists
 a versioned JSON artifact under `results/`, and this file is rendered
 from those artifacts by `python -m repro.reports render`.  Compare two
-runs with `python -m repro.reports diff <old> <new>`; per-PR timing
-snapshots accumulate in `BENCH_experiments.json` /
-`BENCH_partitioners.json` at the repo root.
+runs with `python -m repro.reports diff <old> <new>`; each harness's
+wall-clock duration is in the provenance table below.
 """
 
 

@@ -33,7 +33,6 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 ARTIFACT_KIND = "repro-experiment-artifact"
-BENCH_KIND = "repro-bench-snapshot"
 
 #: Metric directions: which way is *better*.
 DIRECTIONS = ("lower", "higher")
@@ -320,7 +319,7 @@ def load_artifact(path) -> ExperimentArtifact:
 def load_artifacts(directory) -> Dict[str, ExperimentArtifact]:
     """Load every ``*.json`` artifact in a directory, keyed by experiment.
 
-    Non-artifact JSON files (e.g. bench snapshots) are skipped.
+    JSON files whose ``kind`` is not an artifact's are skipped.
     """
     directory = Path(directory)
     if not directory.is_dir():

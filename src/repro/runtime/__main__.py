@@ -9,8 +9,8 @@ per-worker counts match exactly (the determinism contract); the exit
 code is non-zero on any mismatch.  ``--streaming`` generates the keys
 chunk-wise through the dataset's ``ChunkSource`` instead of
 materialising them (the verify replay then re-iterates the same source
--- byte-identical by construction).  ``--bench`` merges the measured
-``<scheme>@e2e`` entries into ``BENCH_partitioners.json``.
+-- byte-identical by construction).  The repository benchmark in
+``perfbench/`` measures this path with repeated paired runs.
 
 Fault injection and recovery: ``--fault kill:w=1@n=5000`` (repeatable)
 injects seeded faults, ``--recovery {fail,reroute,restart}`` picks the
@@ -28,7 +28,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.runtime.bench import DEFAULT_E2E_SCHEMES, e2e_entry
 from repro.runtime.engine import (
     MODES,
     RuntimeConfig,
@@ -38,6 +37,8 @@ from repro.runtime.engine import (
 from repro.runtime.faults import FaultPlan
 from repro.runtime.supervision import RECOVERY_POLICIES
 
+#: the paper's headline schemes plus the queueing-layer baseline.
+DEFAULT_E2E_SCHEMES = ("pkg", "kg", "sg", "jbsq")
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.api import make_partitioner
@@ -147,11 +148,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="assert per-worker counts equal the single-process replay",
     )
-    parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="merge <scheme>@e2e entries into BENCH_partitioners.json",
-    )
     args = parser.parse_args(argv)
 
     if args.fault:
@@ -203,11 +199,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else spec.stream(args.messages, seed=args.seed)
     )
     failures = 0
-    results = []
     for scheme in args.schemes:
         partitioner = make_partitioner(scheme, args.workers, seed=args.seed)
         result = run_runtime(keys, partitioner, config)
-        results.append((scheme, result))
         line = (
             f"{scheme:>16}  mode={result.mode:<9} "
             f"throughput={result.messages_per_second:>12,.0f} msg/s  "
@@ -277,17 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         f"(replay {replay.final_loads.tolist()}, "
                         f"status={result.status})"
                     )
-
-    if args.bench:
-        from repro.reports.bench import merge_bench_results, write_bench_snapshot
-
-        entries = [
-            e2e_entry(scheme, result, streaming=args.streaming)
-            for scheme, result in results
-        ]
-        merged = merge_bench_results("partitioners", entries)
-        path = write_bench_snapshot("partitioners", merged)
-        print(f"bench: wrote {len(entries)} @e2e entries to {path}")
 
     return 1 if failures else 0
 

@@ -221,6 +221,19 @@ class RuntimeConfig:
             raise ValueError(
                 f"service_cost must be >= 0, got {self.service_cost}"
             )
+        # Workers check these too, but a process worker that rejects
+        # them dies in its constructor; fail here, before any spawn.
+        if self.checkpoint_interval < 1:
+            raise ValueError(
+                f"checkpoint_interval must be >= 1, got "
+                f"{self.checkpoint_interval}"
+            )
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not 0.0 < self.relative_error < 1.0:
+            raise ValueError(
+                f"relative_error must be in (0, 1), got {self.relative_error}"
+            )
         if self.recovery not in RECOVERY_POLICIES:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_POLICIES}, got "
@@ -953,8 +966,9 @@ def run_runtime(
     Routing is chunk-for-chunk identical to
     :func:`repro.core.engine.replay_stream` on the same ``keys`` and a
     fresh ``partitioner``; the returned ``routed_loads``,
-    ``checkpoint_positions`` and ``imbalance_series`` are the replay's,
-    and under a lossless policy ``worker_loads`` equals ``routed_loads``.
+    ``checkpoint_positions`` and ``imbalance_series`` are the replay's
+    (an aborted run keeps the checkpoints of its routed prefix), and
+    under a lossless policy ``worker_loads`` equals ``routed_loads``.
     ``keys`` may be a materialised array or a bounded-memory
     :class:`~repro.core.chunks.ChunkSource` (one fresh pass on the
     source's own chunk grid; ``timestamps`` requires an array input).
@@ -1093,7 +1107,16 @@ def run_runtime(
     finally:
         backend.close()
 
-    positions, imbalances = series.finish()
+    if sup.aborted is None:
+        positions, imbalances = series.finish()
+    else:
+        # An abort can stop routing mid-stream: the series covers the
+        # checkpoints of the routed prefix only.
+        reached = int(
+            np.searchsorted(series.positions, series.consumed, side="right")
+        )
+        positions = series.positions[:reached]
+        imbalances = series.imbalances[:reached]
     routed = series.loads.copy()
     # A survivor loses its fault-discarded messages; a dead worker its
     # delivered-but-uncheckpointed pipeline.
@@ -1109,8 +1132,14 @@ def run_runtime(
         worker_loads[w] = checkpoints[w]
         lost[w] = sup.delivered[w] - checkpoints[w]
     undelivered = int(routed.sum() - sup.delivered.sum() - sup.dropped.sum())
-    latency = LatencyStore.merge_all(
-        LatencyStore.from_dict(report["latency"]) for report in reports
+    # No report at all when every worker died: an empty store, not a
+    # crash, so the failed run still returns its loss accounting.
+    latency = (
+        LatencyStore.merge_all(
+            LatencyStore.from_dict(report["latency"]) for report in reports
+        )
+        if reports
+        else LatencyStore(config.relative_error)
     )
     clean = not sup.failures and not plan.specs
     if config.policy != "drop" and clean:

@@ -1,57 +1,57 @@
-"""End-to-end CLI: run -> render -> diff, plus the bench snapshot."""
+"""End-to-end CLI: run -> render -> diff."""
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.reports.__main__ import main
-from repro.reports import load_artifacts, load_bench_snapshot
+from repro.reports import load_artifacts
 
 DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
+def run_output(tmp_path_factory):
     """One tiny real `run` shared by the CLI tests (table1 is cheapest)."""
     base = tmp_path_factory.mktemp("cli")
-    rc = main(
-        [
-            "run",
-            "--scale", "0.01",
-            "--experiments", "table1",
-            "--out", str(base / "results"),
-            "--bench-out", str(base),
-        ]
-    )
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(
+            [
+                "run",
+                "--scale", "0.01",
+                "--experiments", "table1",
+                "--out", str(base / "results"),
+            ]
+        )
     assert rc == 0
-    return base
+    return base, stdout.getvalue()
+
+
+@pytest.fixture(scope="module")
+def run_dir(run_output):
+    return run_output[0]
 
 
 class TestRun:
-    def test_writes_artifact_and_bench(self, run_dir):
+    def test_writes_artifact_and_bench(self, run_output):
+        run_dir, stdout = run_output
         artifacts = load_artifacts(run_dir / "results")
         assert list(artifacts) == ["table1"]
         a = artifacts["table1"]
         assert a.manifest.scale == 0.01
         assert len(a.records) == 8  # one per Table I dataset
         assert a.metrics and a.summary
-        bench = load_bench_snapshot(run_dir / "BENCH_experiments.json")
-        assert bench["suite"] == "experiments"
-        assert [e["name"] for e in bench["results"]] == ["_sweep", "table1"]
-        by_name = {e["name"]: e for e in bench["results"]}
-        assert by_name["table1"]["duration_seconds"] > 0
-        sweep = by_name["_sweep"]
-        assert sweep["sweep_wall_clock_seconds"] > 0
-        assert sweep["jobs"] >= 1 and sweep["experiments"] == 1
-        # The wall clock is gated per fan-out width: the metric name
-        # carries the jobs tag so unlike-for-unlike runs never diff as
-        # regressions.
-        from repro.reports.diffing import bench_snapshot_artifact
-
-        metrics = bench_snapshot_artifact(bench).metric_map()
-        key = f"_sweep.sweep_wall_clock_seconds@jobs={sweep['jobs']}"
-        assert metrics[key].direction == "lower"
+        # Timing lives in the manifest and on stdout, never in a
+        # separate snapshot file.
+        assert a.manifest.duration_seconds > 0
+        written = [p.relative_to(run_dir) for p in run_dir.rglob("*.json")]
+        assert written == [Path("results") / "table1.json"]
+        assert re.search(r"sweep wall clock [0-9.]+s at jobs=[1-9]", stdout)
 
     def test_unknown_experiment_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -110,46 +110,3 @@ class TestDiff:
         results = str(run_dir / "results")
         assert main(["diff", str(run_dir / "nope"), results]) == 2
         assert "does not exist" in capsys.readouterr().err
-
-
-class TestBenchMerge:
-    def test_partial_run_preserves_existing_entries(self, tmp_path):
-        from repro.reports.bench import merge_bench_results, write_bench_snapshot
-
-        write_bench_snapshot(
-            "experiments",
-            [{"name": "fig2", "duration_seconds": 1.0},
-             {"name": "table2", "duration_seconds": 2.0}],
-            directory=tmp_path,
-        )
-        merged = merge_bench_results(
-            "experiments",
-            [{"name": "fig2", "duration_seconds": 0.5}],
-            directory=tmp_path,
-        )
-        by_name = {e["name"]: e for e in merged}
-        assert by_name["fig2"]["duration_seconds"] == 0.5  # updated
-        assert by_name["table2"]["duration_seconds"] == 2.0  # preserved
-
-    def test_merge_without_existing_snapshot(self, tmp_path):
-        from repro.reports.bench import merge_bench_results
-
-        merged = merge_bench_results(
-            "experiments", [{"name": "fig2", "duration_seconds": 1.0}],
-            directory=tmp_path,
-        )
-        assert [e["name"] for e in merged] == ["fig2"]
-
-
-class TestBench:
-    def test_bench_snapshot(self, tmp_path):
-        rc = main(
-            ["bench", "--messages", "2000", "--workers", "4",
-             "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        bench = load_bench_snapshot(tmp_path / "BENCH_partitioners.json")
-        assert bench["suite"] == "partitioners"
-        names = [e["name"] for e in bench["results"]]
-        assert "pkg" in names and "kg" in names
-        assert all(e["keys_per_second"] > 0 for e in bench["results"])

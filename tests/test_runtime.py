@@ -22,7 +22,6 @@ from repro.runtime import (
     RuntimeResult,
     SpscRing,
     WorkerLoop,
-    bench_throughput_e2e,
     run_runtime,
     runtime_available,
 )
@@ -164,6 +163,13 @@ class TestConfigValidation:
             RuntimeConfig(service_cost=-0.1)
         with pytest.raises(ValueError, match="flush_size"):
             RuntimeConfig(flush_size=0)
+        with pytest.raises(ValueError, match="checkpoint_interval"):
+            RuntimeConfig(checkpoint_interval=0)
+        with pytest.raises(ValueError, match="max_batch"):
+            RuntimeConfig(max_batch=0)
+        for relative_error in (0.0, 1.0, -0.5):
+            with pytest.raises(ValueError, match="relative_error"):
+                RuntimeConfig(relative_error=relative_error)
 
     def test_timestamp_length_checked(self):
         partitioner = make_partitioner("sg", 2, seed=42)
@@ -174,60 +180,6 @@ class TestConfigValidation:
                 RuntimeConfig(mode="simulated"),
                 timestamps=np.zeros(3),
             )
-
-
-class TestBenchHarness:
-    def test_entries_shape(self):
-        entries = bench_throughput_e2e(
-            schemes=("pkg", "sg"),
-            num_messages=5_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        assert [e["name"] for e in entries] == ["pkg@e2e", "sg@e2e"]
-        for entry in entries:
-            assert entry["e2e_messages_per_second"] > 0
-            assert entry["p99_sojourn_seconds"] > 0
-            assert entry["mode"] == "simulated"
-            assert entry["dropped"] == 0
-            assert entry["streaming"] is False
-            # The per-stage transport breakdown rides along.
-            for stage_field in (
-                "route_seconds", "scatter_seconds",
-                "flush_stall_seconds", "drain_seconds",
-            ):
-                assert entry[stage_field] >= 0.0
-            assert entry["transport_overhead_ratio"] >= 1.0
-            assert entry["flushes"] >= 2
-
-    def test_streaming_bench_matches_materialized_counts(self):
-        common = dict(
-            schemes=("pkg",),
-            num_messages=5_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        (plain,) = bench_throughput_e2e(**common)
-        (streamed,) = bench_throughput_e2e(streaming=True, **common)
-        assert plain["streaming"] is False
-        assert streamed["streaming"] is True
-        assert streamed["num_messages"] == plain["num_messages"] == 5_000
-
-    def test_e2e_entries_are_diffable(self):
-        from repro.reports.diffing import bench_snapshot_artifact
-
-        entries = bench_throughput_e2e(
-            schemes=("pkg",),
-            num_messages=4_000,
-            num_workers=2,
-            config=RuntimeConfig(mode="simulated"),
-        )
-        artifact = bench_snapshot_artifact(
-            {"suite": "partitioners", "results": entries}
-        )
-        by_name = {m.name: m for m in artifact.metrics}
-        assert by_name["pkg@e2e.e2e_messages_per_second"].direction == "higher"
-        assert by_name["pkg@e2e.p99_sojourn_seconds"].direction == "lower"
 
 
 class TestCli:
@@ -244,26 +196,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("verify: counts match replay_stream") == 2
-
-    def test_bench_flag_writes_snapshot(self, tmp_path, capsys, monkeypatch):
-        import repro.reports.bench as bench_module
-
-        monkeypatch.setattr(bench_module, "repo_root", lambda: tmp_path)
-        code = runtime_main(
-            [
-                "--schemes", "sg",
-                "--workers", "2",
-                "--messages", "4000",
-                "--mode", "simulated",
-                "--bench",
-            ]
-        )
-        assert code == 0
-        snapshot = bench_module.load_bench_snapshot(
-            tmp_path / "BENCH_partitioners.json"
-        )
-        names = [e["name"] for e in snapshot["results"]]
-        assert names == ["sg@e2e"]
 
 
 class TestResultInvariant:

@@ -221,6 +221,42 @@ class TestRerouteSimulated:
         assert result.conservation_ok
 
 
+class TestAllWorkersDead:
+    """No worker survives: a failed, conserved result, never a crash.
+
+    A small routing chunk makes the abort land mid-stream, so the
+    result covers only the routed prefix and no worker reports back.
+    """
+
+    @pytest.mark.parametrize(
+        "mode", ["simulated", pytest.param("process", marks=needs_processes)]
+    )
+    @pytest.mark.parametrize(
+        "faults, recovery",
+        [
+            (["kill:w=0@n=100"], "fail"),
+            (["kill:w=0@n=100"], "reroute"),
+            (["kill:w=0@n=100", "kill:w=1@n=100"], "reroute"),
+        ],
+        ids=["w1-fail", "w1-reroute", "w2-reroute"],
+    )
+    def test_no_survivor_fails_cleanly(self, mode, faults, recovery):
+        make_config = simulated_config if mode == "simulated" else process_config
+        config = make_config(
+            recovery, FaultPlan.parse(faults, seed=42), chunk_size=1024
+        )
+        result = run_runtime(
+            STREAM, make_partitioner("pkg", len(faults), seed=42), config
+        )
+        assert result.status == "failed"
+        assert result.conservation_ok
+        assert result.failed_workers == tuple(range(len(faults)))
+        assert result.worker_reports == []
+        assert result.p99_sojourn() == 0.0
+        assert result.checkpoint_positions.size == result.imbalance_series.size
+        assert np.all(result.checkpoint_positions <= result.sent)
+
+
 class TestEndOfStreamDeaths:
     """A worker that dies during the final drain, inside ``collect``.
 
