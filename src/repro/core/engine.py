@@ -206,6 +206,8 @@ class InterleavedRouter:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         if mode == "probing" and probe_period <= 0:
             raise ValueError("probing mode requires a positive probe_period")
+        if num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.mode = mode
         self.num_sources = int(num_sources)
         self.num_workers = int(num_workers)
@@ -232,10 +234,17 @@ class InterleavedRouter:
         choices = np.ascontiguousarray(choices, dtype=np.int64)
         sources = np.ascontiguousarray(sources, dtype=np.int64)
         m, d = choices.shape
-        # Out-of-range ids would index outside the views matrix -- in
-        # the C kernel that is an out-of-bounds write, so reject before
-        # dispatch rather than corrupt memory.
+        # Out-of-range ids would index outside the views matrix or the
+        # load vector -- in the C kernel that is an out-of-bounds write,
+        # so reject before dispatch rather than corrupt memory.
         _check_source_range(sources, self.num_sources)
+        if choices.size and (
+            int(choices.min()) < 0 or int(choices.max()) >= self.num_workers
+        ):
+            raise ValueError(
+                f"candidate ids must lie in [0, {self.num_workers}), got "
+                f"[{int(choices.min())}, {int(choices.max())}]"
+            )
         if self.mode == "probing":
             if times is None:
                 raise ValueError("probing mode needs per-message times")
@@ -509,7 +518,7 @@ def replay_per_source(
     """Replay with one independent partitioner instance per source.
 
     ``partitioner_factory(source_index)`` builds each instance.  Because
-    per-source state is private (no shared estimators), routing each
+    per-source state is private (no shared load vectors), routing each
     source's sub-stream in one chunked pass and merging back into
     arrival order is decision-equivalent to interleaving.
     ``source_ids`` defaults to :func:`assign_sources`' round-robin
@@ -525,6 +534,11 @@ def replay_per_source(
     partitioners: List["Partitioner"] = []
     for s in range(int(num_sources)):
         partitioner = partitioner_factory(s)
+        if partitioner.num_workers != num_workers:
+            raise ValueError(
+                f"source {s}'s partitioner routes to "
+                f"{partitioner.num_workers} workers, replay has {num_workers}"
+            )
         partitioners.append(partitioner)
         mask = source_ids == s
         workers[mask] = route_chunked(

@@ -31,12 +31,11 @@ class Partitioner(ABC):
     via :meth:`mask_worker`: afterwards :meth:`remap_masked` rewrites
     any decision for a masked worker to its deterministic deputy
     (``alive[dead % len(alive)]``), and load-aware schemes additionally
-    have their estimator poisoned (see
-    :meth:`repro.load.base.LoadEstimator.mask_workers`) so they prefer
-    survivors on their own.  The remap keeps the underlying routing
-    state evolution untouched -- decisions are remapped *after* the
-    scheme makes them -- so masking mid-stream never perturbs how
-    unaffected messages route.  Masks survive :meth:`reset` (a dead
+    have their load vector poisoned (see :class:`LoadAwarePartitioner`)
+    so they prefer survivors on their own.  The remap keeps the
+    underlying routing state evolution untouched -- decisions are
+    remapped *after* the scheme makes them -- so masking mid-stream
+    never perturbs how unaffected messages route.  Masks survive :meth:`reset` (a dead
     worker stays dead for the rest of the run).
     """
 
@@ -56,8 +55,8 @@ class Partitioner(ABC):
     def route(self, key: Any, now: float = 0.0) -> int:
         """The worker that must handle the message with this ``key``.
 
-        ``now`` is the message timestamp; only time-aware partitioners
-        (probing PKG, rebalancing KG) use it.
+        ``now`` is the message timestamp, for time-aware schemes; every
+        registered scheme decides on message counts alone.
         """
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
@@ -159,19 +158,12 @@ class Partitioner(ABC):
         return int(self._mask_map[worker])
 
     def _on_mask(self) -> None:
-        """Hook run after the mask changes; default poisons estimators.
+        """Hook run after the mask changes (default: nothing to do).
 
-        Schemes carrying a ``self.estimator`` load vector get it
-        poisoned so d-choice draws avoid dead workers on their own;
-        schemes without one are covered by :meth:`remap_masked` alone.
-        Subclasses with other maskable state (rebalance targets,
-        routing tables) may extend this.
+        Schemes with maskable state (a load vector, rebalance targets,
+        routing tables) may override it; everything else is covered
+        by :meth:`remap_masked` alone.
         """
-        from repro.load.base import LoadEstimator
-
-        estimator = getattr(self, "estimator", None)
-        if isinstance(estimator, LoadEstimator):
-            estimator.mask_workers(self.masked_workers)
 
     def memory_entries(self) -> int:
         """Routing-table entries this partitioner must store.
@@ -186,3 +178,54 @@ class Partitioner(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(num_workers={self.num_workers})"
+
+
+#: load sentinel written into masked workers' slots: far above any real
+#: count (streams are < 2^40 messages) yet still int64-safe under the
+#: +1 increment of every send.
+MASKED_LOAD = 2**62
+
+
+class LoadAwarePartitioner(Partitioner):
+    """A scheme that routes on this source's own per-worker load vector.
+
+    ``self.loads`` (int64) counts the messages this instance -- one
+    source PEI -- has sent to each worker: the paper's *local* load
+    estimate (Section III-B), which needs no communication with the
+    workers.  The chunk kernels of :mod:`repro.core.engine` read and
+    update the same vector in place, so :meth:`route` and
+    :meth:`route_chunk` share one state.  The global-oracle and probing
+    comparisons live only in :class:`repro.core.engine.InterleavedRouter`.
+
+    Masking poisons dead workers' slots with :data:`MASKED_LOAD`, so a
+    d-choice draw that includes a dead worker resolves to a live one
+    whenever the candidate set has any; the sentinel survives
+    :meth:`reset`.
+    """
+
+    def __init__(self, num_workers: int) -> None:
+        super().__init__(num_workers)
+        self.loads = np.zeros(self.num_workers, dtype=np.int64)
+
+    def _send(self, candidates: Sequence[int]) -> int:
+        """Send one message to the least-loaded of ``candidates``.
+
+        Ties break toward the earliest candidate; candidate order comes
+        from independent hashes, so no systematic bias results.
+        """
+        loads = self.loads
+        best = candidates[0]
+        best_load = loads[best]
+        for c in candidates[1:]:
+            if loads[c] < best_load:
+                best, best_load = c, loads[c]
+        loads[best] += 1
+        return int(best)
+
+    def reset(self) -> None:
+        self.loads[:] = 0
+        self._on_mask()
+
+    def _on_mask(self) -> None:
+        if self._masked:
+            self.loads[list(self._masked)] = MASKED_LOAD

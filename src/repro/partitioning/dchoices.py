@@ -16,9 +16,7 @@ import numpy as np
 
 from repro.api.registry import register
 from repro.core.engine import least_loaded_chunk
-from repro.load.base import LoadEstimator, WorkerLoadRegistry, vectorizable_loads
-from repro.load.local import LocalLoadEstimator
-from repro.partitioning.base import Partitioner
+from repro.partitioning.base import LoadAwarePartitioner
 
 
 @register(
@@ -26,43 +24,19 @@ from repro.partitioning.base import Partitioner
     aliases=("ll",),
     description="route to the globally least-loaded worker (d = W limit)",
 )
-class LeastLoaded(Partitioner):
+class LeastLoaded(LoadAwarePartitioner):
     """Route each message to the least-loaded worker (d = W choices)."""
 
     name = "least-loaded"
 
-    def __init__(
-        self,
-        num_workers: int,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         super().__init__(num_workers)
-        self.estimator = estimator or LocalLoadEstimator(num_workers, registry)
         self._all_workers = tuple(range(num_workers))
 
     def route(self, key: Any, now: float = 0.0) -> int:
-        worker = self.estimator.select(self._all_workers, now)
-        self.estimator.on_send(worker, now)
-        return worker
+        return self._send(self._all_workers)
 
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        loads, mirror = vectorizable_loads(self.estimator)
-        if loads is not None:
-            out = least_loaded_chunk(len(keys), loads)
-            if mirror is not None:
-                mirror.add_chunk(np.bincount(out, minlength=self.num_workers))
-            return out
-        out = np.empty(len(keys), dtype=np.int64)
-        times = timestamps if timestamps is not None else np.zeros(len(keys))
-        for i in range(len(keys)):
-            t = float(times[i])
-            w = self.estimator.select(self._all_workers, t)
-            self.estimator.on_send(w, t)
-            out[i] = w
-        return out
-
-    def reset(self) -> None:
-        self.estimator.reset()
+        return least_loaded_chunk(len(keys), self.loads)

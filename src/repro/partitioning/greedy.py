@@ -21,29 +21,22 @@ import numpy as np
 from repro.api.registry import register
 from repro.core.chunks import factorize
 from repro.core.engine import bind_route_chunk
-from repro.load.base import LoadEstimator, WorkerLoadRegistry, vectorizable_loads
-from repro.load.oracle import GlobalOracleEstimator
-from repro.partitioning.base import Partitioner
+from repro.partitioning.base import LoadAwarePartitioner, Partitioner
 
 
 def _bind_chunk_with_table(
     partitioner: Any,
     keys: Sequence[Any],
     choices_for: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """Shared chunk path of the first-sight-binding schemes.
 
     Factorises the chunk, fills a dense code->worker table from the
     scheme's routing dict (-1 = unbound), runs the binding kernel
-    against the estimator's load vector, and writes fresh bindings
-    back into the dict.  Returns None when the estimator is not
-    vectorizable (caller falls back to the per-message loop).
-    ``choices_for(unique_keys) -> (u, d)`` supplies per-key candidate
-    rows; None means "all workers are candidates".
+    against the scheme's ``loads``, and writes fresh bindings back
+    into the dict.  ``choices_for(unique_keys) -> (u, d)`` supplies
+    per-key candidate rows; None means "all workers are candidates".
     """
-    loads, mirror = vectorizable_loads(partitioner.estimator)
-    if loads is None:
-        return None
     codes, unique = factorize(keys)
     key_list = unique.tolist()
     table = np.empty(len(key_list), dtype=np.int64)
@@ -56,9 +49,9 @@ def _bind_chunk_with_table(
     if choices_for is not None:
         per_unique = choices_for(unique)
         choices = per_unique[codes]
-    out = bind_route_chunk(codes, choices, partitioner.num_workers, table, loads)
-    if mirror is not None:
-        mirror.add_chunk(np.bincount(out, minlength=partitioner.num_workers))
+    out = bind_route_chunk(
+        codes, choices, partitioner.num_workers, table, partitioner.loads
+    )
     for u in np.flatnonzero(unbound).tolist():
         partitioner.routing_table[key_list[u]] = int(table[u])
     return out
@@ -69,22 +62,13 @@ def _bind_chunk_with_table(
     aliases=("online-greedy",),
     description="online greedy: bind new keys to the least-loaded worker",
 )
-class OnlineGreedy(Partitioner):
+class OnlineGreedy(LoadAwarePartitioner):
     """Online greedy: new key -> currently least-loaded worker, fixed."""
 
     name = "On-Greedy"
 
-    def __init__(
-        self,
-        num_workers: int,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         super().__init__(num_workers)
-        if estimator is None:
-            registry = registry or WorkerLoadRegistry(num_workers)
-            estimator = GlobalOracleEstimator(registry)
-        self.estimator = estimator
         self.routing_table: Dict = {}
         self._all_workers = tuple(range(num_workers))
 
@@ -96,9 +80,10 @@ class OnlineGreedy(Partitioner):
     def route(self, key: Any, now: float = 0.0) -> int:
         worker = self.routing_table.get(key)
         if worker is None:
-            worker = self.estimator.select(self._all_workers, now)
+            worker = self._send(self._all_workers)
             self.routing_table[key] = worker
-        self.estimator.on_send(worker, now)
+        else:
+            self.loads[worker] += 1
         return worker
 
     def route_chunk(
@@ -106,19 +91,14 @@ class OnlineGreedy(Partitioner):
     ) -> np.ndarray:
         # New keys bind to the least-loaded of *all* workers, so the
         # binding kernel runs with an open candidate set.
-        out = _bind_chunk_with_table(self, keys)
-        if out is None:
-            return super().route_chunk(keys, timestamps)
-        return out
+        return _bind_chunk_with_table(self, keys)
 
     def memory_entries(self) -> int:
         return len(self.routing_table)
 
     def reset(self) -> None:
         self.routing_table.clear()
-        self.estimator.reset()
-        if isinstance(self.estimator, GlobalOracleEstimator):
-            self.estimator.registry.reset()
+        super().reset()
 
 
 @register(

@@ -18,9 +18,7 @@ import numpy as np
 from repro.api.registry import register
 from repro.core.chunks import hashed_choices
 from repro.hashing import HashFamily
-from repro.load.base import LoadEstimator, WorkerLoadRegistry
-from repro.load.oracle import GlobalOracleEstimator
-from repro.partitioning.base import Partitioner
+from repro.partitioning.base import LoadAwarePartitioner
 from repro.partitioning.greedy import _bind_chunk_with_table
 
 
@@ -29,17 +27,12 @@ from repro.partitioning.greedy import _bind_chunk_with_table
     aliases=("static-potc",),
     description="static power of two choices with a routing table",
 )
-class StaticPoTC(Partitioner):
+class StaticPoTC(LoadAwarePartitioner):
     """PoTC applied to key grouping: first-sight binding of key to choice.
 
-    Parameters
-    ----------
-    num_workers:
-        Downstream parallelism W.
-    estimator:
-        Load view consulted at first sight of a key.  Defaults to a
-        global oracle over a private registry (the most favourable
-        setting for PoTC; it loses to PKG even so).
+    A new key binds to the less loaded of its two hash choices in this
+    instance's ``loads``.  For a single source that vector is the true
+    load, the most favourable setting for PoTC; it loses to PKG even so.
     """
 
     name = "PoTC"
@@ -48,16 +41,10 @@ class StaticPoTC(Partitioner):
         self,
         num_workers: int,
         hash_family: Optional[HashFamily] = None,
-        estimator: Optional[LoadEstimator] = None,
-        registry: Optional[WorkerLoadRegistry] = None,
         seed: int = 0,
     ) -> None:
         super().__init__(num_workers)
         self.family = hash_family or HashFamily(size=2, seed=seed)
-        if estimator is None:
-            registry = registry or WorkerLoadRegistry(num_workers)
-            estimator = GlobalOracleEstimator(registry)
-        self.estimator = estimator
         self.routing_table: Dict = {}
 
     def candidates(self, key: Any) -> Tuple[int, ...]:
@@ -68,32 +55,26 @@ class StaticPoTC(Partitioner):
     def route(self, key: Any, now: float = 0.0) -> int:
         worker = self.routing_table.get(key)
         if worker is None:
-            worker = self.estimator.select(
-                self.family.choices(key, self.num_workers), now
-            )
+            worker = self._send(self.family.choices(key, self.num_workers))
             self.routing_table[key] = worker
-        self.estimator.on_send(worker, now)
+        else:
+            self.loads[worker] += 1
         return worker
 
     def route_chunk(
         self, keys: Sequence[Any], timestamps: Optional[Sequence[float]] = None
     ) -> np.ndarray:
-        out = _bind_chunk_with_table(
+        return _bind_chunk_with_table(
             self,
             keys,
             choices_for=lambda unique: hashed_choices(
                 self.family, unique, self.num_workers
             ),
         )
-        if out is None:
-            return super().route_chunk(keys, timestamps)
-        return out
 
     def memory_entries(self) -> int:
         return len(self.routing_table)
 
     def reset(self) -> None:
         self.routing_table.clear()
-        self.estimator.reset()
-        if isinstance(self.estimator, GlobalOracleEstimator):
-            self.estimator.registry.reset()
+        super().reset()

@@ -124,7 +124,7 @@ class TestConsistentPKG:
         pkg = ConsistentPartialKeyGrouping(4, seed=0)
         pkg.route(1)
         pkg.reset()
-        assert pkg.estimator.local.sum() == 0
+        assert pkg.loads.sum() == 0
 
     def test_key_splitting_bounded(self):
         pkg = ConsistentPartialKeyGrouping(10, seed=1)

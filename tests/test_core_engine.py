@@ -1,5 +1,7 @@
 """repro.core.engine: the unified chunked replay engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,18 @@ class TestReplayPerSource:
                 source_ids=np.zeros(4, dtype=np.int64),
             )
 
+    @pytest.mark.parametrize("factory_workers", [2, 8])
+    def test_factory_worker_count_must_match(self, factory_workers):
+        # A W=2 factory under a W=4 replay would leave workers 2-3 empty
+        # and overstate the imbalance; a W=8 one would overflow the loads.
+        with pytest.raises(ValueError, match="workers"):
+            replay_per_source(
+                zipf_keys(1_000),
+                lambda s: make_partitioner("pkg", factory_workers),
+                4,
+                num_sources=2,
+            )
+
 
 class TestInterleavedRouter:
     @pytest.mark.parametrize("mode", ["local", "global", "probing"])
@@ -110,10 +124,36 @@ class TestInterleavedRouter:
         choices = HashFamily(size=d, seed=8).choice_matrix(keys, 5)
         num_sources = 4
         sources = np.arange(keys.size, dtype=np.int64) % num_sources
-        times = np.arange(keys.size, dtype=np.float64)
         probe_period = 750.0 if mode == "probing" else 0.0
+        steady = np.arange(keys.size, dtype=np.float64)
+        # An idle gap of several probe periods mid-stream: each source
+        # must probe once on waking, then resume one probe per period.
+        gapped = steady + np.where(steady >= 3_000, 4.5 * 750.0, 0.0)
+        for times in (steady, gapped):
+            expected = self._reference(
+                choices, sources, times, mode, probe_period, num_sources
+            )
+            result = replay_interleaved(
+                keys,
+                5,
+                num_sources=num_sources,
+                source_ids=sources,
+                mode=mode,
+                num_choices=d,
+                probe_period=probe_period,
+                timestamps=times if mode == "probing" else None,
+                seed=8,
+                chunk_size=1_111,
+                keep_assignments=True,
+            )
+            assert np.array_equal(result.assignments, expected)
+            assert np.array_equal(
+                result.final_loads, np.bincount(expected, minlength=5)
+            )
 
-        # Straight-line reference: per-message dict-of-lists replay.
+    @staticmethod
+    def _reference(choices, sources, times, mode, probe_period, num_sources):
+        """Straight-line per-message dict-of-lists replay."""
         true_loads = [0] * 5
         views = (
             [true_loads] * num_sources
@@ -121,8 +161,8 @@ class TestInterleavedRouter:
             else [[0] * 5 for _ in range(num_sources)]
         )
         next_probe = [probe_period] * num_sources
-        expected = np.empty(keys.size, dtype=np.int64)
-        for i in range(keys.size):
+        expected = np.empty(len(sources), dtype=np.int64)
+        for i in range(len(sources)):
             s = int(sources[i])
             view = views[s]
             if mode == "probing" and times[i] >= next_probe[s]:
@@ -138,24 +178,7 @@ class TestInterleavedRouter:
             if view is not true_loads:
                 true_loads[best] += 1
             expected[i] = best
-
-        result = replay_interleaved(
-            keys,
-            5,
-            num_sources=num_sources,
-            source_ids=sources,
-            mode=mode,
-            num_choices=d,
-            probe_period=probe_period,
-            timestamps=times if mode == "probing" else None,
-            seed=8,
-            chunk_size=1_111,
-            keep_assignments=True,
-        )
-        assert np.array_equal(result.assignments, expected)
-        assert np.array_equal(
-            result.final_loads, np.bincount(expected, minlength=5)
-        )
+        return expected
 
     def test_probing_requires_period(self):
         with pytest.raises(ValueError):
@@ -183,6 +206,25 @@ class TestInterleavedRouter:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             InterleavedRouter(2, 4, mode="telepathy")
+
+    @pytest.mark.parametrize("bad_candidate", [-1, 4, 900])
+    def test_out_of_range_candidates_rejected(self, bad_candidate):
+        # Like bad source ids, a candidate outside [0, W) would be an
+        # out-of-bounds write into the C kernel's load vectors.
+        for mode in InterleavedRouter.MODES:
+            router = InterleavedRouter(1, 4, mode=mode, probe_period=1.0)
+            choices = np.array([[0, 1], [bad_candidate, 2]], dtype=np.int64)
+            with pytest.raises(ValueError, match="candidate ids"):
+                router.route(choices, np.zeros(2, dtype=np.int64), np.zeros(2))
+            assert router.true_loads.sum() == 0
+
+    @pytest.mark.parametrize("num_workers", [0, -3])
+    def test_no_workers_rejected(self, num_workers):
+        # The router rejects it before any key is hashed "% 0".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="num_workers"):
+                replay_interleaved(np.arange(6, dtype=np.int64), num_workers)
 
 
 class TestEventLoop:

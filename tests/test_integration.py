@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import (
-    KeyGrouping,
-    PartialKeyGrouping,
-    ShuffleGrouping,
-    WorkerLoadRegistry,
-)
+from repro import KeyGrouping, PartialKeyGrouping, ShuffleGrouping
 from repro.analysis import feasible_workers, imbalance_lower_bound_hot_key
 from repro.applications import DistributedWordCount, exact_top_k
-from repro.load import GlobalOracleEstimator, LocalLoadEstimator
 from repro.core.engine import replay_interleaved, replay_stream
 from repro.core.metrics import count_partial_states, jaccard_overlap
 from repro.streams import get_dataset
@@ -68,30 +62,21 @@ class TestDatasetToPartitioner:
 class TestEstimatorWiring:
     def test_shared_registry_across_pkg_sources(self):
         """Multiple PKG sources with a global oracle share state."""
-        registry = WorkerLoadRegistry(6)
         keys = get_dataset("LN2").stream(20_000, seed=2)
-        sources = [
-            PartialKeyGrouping(
-                6, estimator=GlobalOracleEstimator(registry), seed=1
-            )
-            for _ in range(3)
-        ]
-        for i, k in enumerate(keys.tolist()):
-            sources[i % 3].route(k)
-        assert registry.total() == 20_000
-        assert registry.imbalance() < 0.02 * 20_000
+        result = replay_interleaved(
+            keys, num_workers=6, num_sources=3, mode="global", seed=1
+        )
+        assert result.final_loads.sum() == 20_000
+        assert result.final_imbalance < 0.02 * 20_000
 
     def test_local_estimators_sum_to_truth(self):
-        registry = WorkerLoadRegistry(4)
-        estimators = [LocalLoadEstimator(4, registry) for _ in range(4)]
-        sources = [
-            PartialKeyGrouping(4, estimator=est, seed=1) for est in estimators
-        ]
+        """Each source's local ``loads`` counts only its own sends, so
+        the per-source vectors sum to the true worker loads."""
+        sources = [PartialKeyGrouping(4, seed=1) for _ in range(4)]
         keys = get_dataset("LN2").stream(8000, seed=3)
-        for i, k in enumerate(keys.tolist()):
-            sources[i % 4].route(k)
-        total = sum(est.local for est in estimators)
-        assert np.array_equal(total, registry.loads)
+        routes = [sources[i % 4].route(k) for i, k in enumerate(keys.tolist())]
+        total = sum(source.loads for source in sources)
+        assert np.array_equal(total, np.bincount(routes, minlength=4))
 
 
 class TestEndToEndWordCount:

@@ -4,12 +4,6 @@ import numpy as np
 import pytest
 
 from repro.hashing import HashFamily
-from repro.load import (
-    GlobalOracleEstimator,
-    LocalLoadEstimator,
-    ProbingLoadEstimator,
-    WorkerLoadRegistry,
-)
 from repro.partitioning import KeyGrouping, PartialKeyGrouping
 from repro.core.engine import replay_stream
 from repro.streams.distributions import ZipfKeyDistribution
@@ -74,11 +68,8 @@ class TestLoadBalance:
         assert result.final_imbalance_fraction < 1e-3
 
     def test_greedy_choice_follows_estimates(self):
-        reg = WorkerLoadRegistry(4)
-        reg.add(0, 100)
-        pkg = PartialKeyGrouping(
-            4, estimator=GlobalOracleEstimator(reg), seed=0
-        )
+        pkg = PartialKeyGrouping(4, seed=0)
+        pkg.loads[0] = 100
         key = next(
             k for k in range(100) if set(pkg.candidates(k)) == {0, 1}
         )
@@ -102,15 +93,6 @@ class TestFastPath:
             fast.route_chunk(keys), np.array([slow.route(int(k)) for k in keys])
         )
 
-    def test_fast_path_mirrors_registry(self):
-        reg = WorkerLoadRegistry(6)
-        pkg = PartialKeyGrouping(6, registry=reg, seed=0)
-        keys = skewed_keys(3000)
-        routed = pkg.route_chunk(keys)
-        assert np.array_equal(
-            reg.loads, np.bincount(routed, minlength=6)
-        )
-
     def test_string_keys_fall_back_to_generic(self):
         pkg = PartialKeyGrouping(5, seed=0)
         words = np.array(["a", "b", "a", "c", "a"])
@@ -118,29 +100,19 @@ class TestFastPath:
         assert routed.size == 5
         assert all(r in pkg.candidates(w) for r, w in zip(routed, words))
 
-    def test_probing_estimator_path(self):
-        reg = WorkerLoadRegistry(4)
-        est = ProbingLoadEstimator(4, reg, period=100.0)
-        pkg = PartialKeyGrouping(4, estimator=est, seed=0)
-        keys = skewed_keys(2000)
-        times = np.arange(2000, dtype=np.float64)
-        routed = pkg.route_chunk(keys, times)
-        assert routed.size == 2000
-        assert est.probes >= 1
-
 
 class TestStatefulness:
     def test_estimator_accumulates(self):
         pkg = PartialKeyGrouping(4, seed=0)
         pkg.route(1)
         pkg.route(1)
-        assert pkg.estimator.local.sum() == 2
+        assert pkg.loads.sum() == 2
 
     def test_reset_clears_estimator(self):
         pkg = PartialKeyGrouping(4, seed=0)
         pkg.route(1)
         pkg.reset()
-        assert pkg.estimator.local.sum() == 0
+        assert pkg.loads.sum() == 0
 
     def test_no_routing_table(self):
         pkg = PartialKeyGrouping(4, seed=0)
@@ -150,11 +122,11 @@ class TestStatefulness:
 
     def test_adapts_to_drift(self):
         # A key that cools down stops dominating its candidates: the
-        # estimator is dynamic, unlike static PoTC.
+        # load estimate is dynamic, unlike static PoTC.
         pkg = PartialKeyGrouping(2, seed=1)
         for _ in range(100):
             pkg.route(0)
-        loads_before = pkg.estimator.local.copy()
+        loads_before = pkg.loads.copy()
         for k in range(1, 101):
             pkg.route(k)
-        assert pkg.estimator.local.min() > loads_before.min()
+        assert pkg.loads.min() > loads_before.min()

@@ -143,4 +143,4 @@ class TestLeastLoaded:
         ll = LeastLoaded(3)
         ll.route("x")
         ll.reset()
-        assert ll.estimator.local.sum() == 0
+        assert ll.loads.sum() == 0

@@ -19,7 +19,7 @@ import pytest
 
 from repro.api import make_partitioner
 from repro.core.chunks import ArrayChunkSource, fork_source, iter_keyed_chunks
-from repro.load.local import MASKED_LOAD
+from repro.partitioning.base import MASKED_LOAD
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
@@ -349,14 +349,32 @@ class TestMasking:
     def test_estimator_poisoning_prefers_survivors(self):
         p = make_partitioner("pkg", 4, seed=42)
         p.mask_worker(1)
-        estimator = p.estimator
-        assert estimator.local[1] == MASKED_LOAD
+        assert p.loads[1] == MASKED_LOAD
         # A d-choice draw whose candidates include the dead worker
         # resolves to the live one.
-        assert estimator.select([1, 3]) == 3
+        assert p._send([1, 3]) == 3
         # ...and the sentinel survives reset.
-        estimator.reset()
-        assert estimator.local[1] == MASKED_LOAD
+        p.reset()
+        assert p.loads[1] == MASKED_LOAD
+
+    @pytest.mark.parametrize("scheme", ["potc", "on-greedy", "ll", "ch-pkg"])
+    def test_poisoning_routes_new_keys_to_survivors(self, scheme):
+        # Every load-aware scheme poisons its own load vector, so a new
+        # key whose first candidate is the dead worker goes to a live
+        # candidate before remap_masked ever runs, on both routing paths.
+        per_message = make_partitioner(scheme, 4, seed=42)
+        chunked = make_partitioner(scheme, 4, seed=42)
+        key, candidates = next(
+            (k, per_message.candidates(k))
+            for k in range(1000)
+            if per_message.candidates(k)[0] == 0
+            and set(per_message.candidates(k)) != {0}
+        )
+        per_message.mask_worker(0)
+        chunked.mask_worker(0)
+        live = set(candidates) - {0}
+        assert per_message.route(key) in live
+        assert int(chunked.route_chunk(np.array([key]))[0]) in live
 
     def test_unmasked_routing_is_untouched(self):
         masked = make_partitioner("pkg", 4, seed=42)
