@@ -8,8 +8,8 @@ Public surface of :mod:`repro.runtime`:
   (real processes over shared-memory rings, or the in-process
   simulated-rings fallback), with coalescing staging buffers and a
   per-stage wall breakdown in ``RuntimeResult.stage_seconds``;
-* supervision & recovery -- heartbeat liveness, deadline-aware pushes
-  (:class:`RingStallError`), seeded fault injection
+* supervision & recovery -- heartbeat liveness, pushes that wait only
+  while their worker is alive (:class:`RingStallError`), seeded fault injection
   (:class:`FaultPlan` / :func:`parse_fault`), and the ``fail`` /
   ``reroute`` / ``restart`` recovery policies with exact
   ``sent == processed + dropped + lost`` conservation accounting;
@@ -48,7 +48,6 @@ from repro.runtime.supervision import (
     RECOVERY_POLICIES,
     FailureEvent,
     LivenessDetector,
-    WorkerDeadError,
     reap_process,
 )
 from repro.runtime.worker import WorkerLoop, WorkerSpec, worker_main
@@ -68,7 +67,6 @@ __all__ = [
     "RuntimeConfig",
     "RuntimeResult",
     "SpscRing",
-    "WorkerDeadError",
     "WorkerLoop",
     "WorkerSpec",
     "parse_fault",

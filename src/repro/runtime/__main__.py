@@ -118,13 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="draw a seeded random fault plan when no --fault is given",
     )
     parser.add_argument(
-        "--push-deadline",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="no-progress seconds before a push escalates to supervision",
-    )
-    parser.add_argument(
         "--liveness-deadline",
         type=float,
         default=5.0,
@@ -182,7 +175,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         flush_size=args.flush_size,
         recovery=args.recovery,
         faults=plan,
-        push_deadline=args.push_deadline,
         liveness_deadline=args.liveness_deadline,
         restart_limit=args.restart_limit,
     )

@@ -16,13 +16,15 @@ worker's drain step as the callback and the policies call it instead of
 sleeping.
 
 **No wait here is unbounded.**  A crashed or wedged consumer must never
-hang the source, so every lossless wait is clipped twice: by
-``deadline`` -- seconds of *no ring progress* (progress resets it) --
-and by a retry-count backstop when no deadline is given.  Both raise
-:class:`RingStallError` carrying exact partial-progress accounting
-(``pushed``/``stalls``), which is what lets the supervision layer
-(:mod:`repro.runtime.supervision`) resume or reroute the remainder of
-the push after recovery instead of guessing what made it into the ring.
+hang the source, so a lossless push needs a way to tell a slow consumer
+from a dead one: the ``alive`` hook, asked (without blocking) at each
+full-ring retry, or the ``drain`` hook, whose lack of progress on a
+full ring means the same.  A push whose worker is no longer alive
+raises :class:`RingStallError` carrying exact partial-progress
+accounting (``pushed``/``stalls``), which is what lets the supervision
+layer (:mod:`repro.runtime.supervision`) resume or reroute the
+remainder of the push after recovery instead of guessing what made it
+into the ring.
 """
 
 from __future__ import annotations
@@ -49,21 +51,17 @@ POLICIES: Tuple[str, ...] = ("block", "spin", "drop")
 _BLOCK_SLEEP = 50e-6
 #: busy iterations the spin policy burns before degrading to a sleep.
 _SPIN_ITERATIONS = 2_000
-#: full-ring retries before declaring the consumer dead when no
-#: deadline is configured.  With the block policy's sleep this bounds
-#: the wait to ~60 s of wall time without ever reading a clock.
-_MAX_RETRIES = 1_200_000
 
 
 class RingStallError(RuntimeError):
-    """A full ring made no progress through the deadline/retry budget.
+    """A push found its ring full and its worker no longer alive.
 
-    The likely cause is a dead or wedged worker; blocking forever would
-    hang the source, so the push gives up loudly instead.  ``pushed``
-    and ``stalls`` carry the partial progress of the failed call: the
-    leading ``pushed`` messages *are* in the ring (the consumer may or
-    may not have processed them), everything after is still the
-    caller's to deliver -- exactly what recovery needs to resume.
+    Blocking on a dead or wedged worker would hang the source, so the
+    push gives up loudly instead.  ``pushed`` and ``stalls`` carry the
+    partial progress of the failed call: the leading ``pushed``
+    messages *are* in the ring (the consumer may or may not have
+    processed them), everything after is still the caller's to deliver
+    -- exactly what recovery needs to resume.
     """
 
     def __init__(
@@ -90,70 +88,44 @@ def push_with_backpressure(
     stamps: np.ndarray,
     policy: str,
     drain: Optional[Callable[[], int]] = None,
-    deadline: Optional[float] = None,
+    alive: Optional[Callable[[], bool]] = None,
 ) -> PushOutcome:
     """Push every message (or account for every drop) under ``policy``.
 
     ``block`` and ``spin`` guarantee ``dropped == 0``: the call returns
     only once the ring accepted all messages, or raises
-    :class:`RingStallError` once the ring has made no progress for
-    ``deadline`` seconds (or through the retry backstop when
-    ``deadline`` is None).  ``drop`` pushes what fits immediately and
-    sheds the rest.  ``drain``, when given, replaces waiting entirely
-    (simulated-rings mode).
+    :class:`RingStallError` once the ring is full and the worker is no
+    longer alive.  ``drop`` pushes what fits immediately and sheds the
+    rest.  On a full ring a lossless push first runs ``drain``, when
+    given (simulated-rings mode: the consumer runs in this thread),
+    then asks ``alive``; with no ``alive`` hook a drain that made no
+    progress means a dead consumer.  A lossless push with neither hook
+    could wait forever and is rejected.
     """
     if policy not in POLICIES:
         raise ValueError(
             f"policy must be one of {POLICIES}, got {policy!r}"
         )
-    if deadline is not None and deadline < 0:
-        raise ValueError(f"deadline must be >= 0, got {deadline}")
+    if policy != "drop" and drain is None and alive is None:
+        raise ValueError(
+            "a lossless push needs a drain or an alive hook to bound its wait"
+        )
     total = int(indices.size)
     offset = 0
     stalls = 0
-    retries = 0
-    stall_started: Optional[float] = None
     while offset < total:
         pushed = ring.try_push(indices[offset:], stamps[offset:])
         if pushed:
             offset += pushed
-            retries = 0
-            stall_started = None
             continue
         stalls += 1
         if policy == "drop":
             return PushOutcome(pushed=offset, dropped=total - offset, stalls=stalls)
-        if drain is not None:
-            if drain() > 0:
-                continue
-            # A drain that cannot progress on a full ring means the
-            # in-process consumer is dead or stalled; retrying would
-            # loop forever in one thread, so fail over to supervision.
+        if drain is not None and drain() > 0:
+            continue
+        if alive is None or not alive():
             raise RingStallError(
-                "simulated-ring drain made no progress on a full ring",
-                pushed=offset,
-                stalls=stalls,
-            )
-        if deadline is not None:
-            # The stall clock is runtime supervision telemetry, never a
-            # routing input (REPRO002 noqa): it bounds how long a push
-            # may wait on an unresponsive consumer, and is only read
-            # while the ring is already stalled.
-            now = time.perf_counter()  # repro: noqa[REPRO002]
-            if stall_started is None:
-                stall_started = now
-            elif now - stall_started >= deadline:
-                raise RingStallError(
-                    f"ring made no progress for {deadline:g}s "
-                    "(worker dead or wedged?)",
-                    pushed=offset,
-                    stalls=stalls,
-                )
-        retries += 1
-        if deadline is None and retries > _MAX_RETRIES:
-            raise RingStallError(
-                f"ring stayed full through {retries} retries "
-                "(worker process dead?)",
+                "ring is full and its worker is dead or wedged",
                 pushed=offset,
                 stalls=stalls,
             )

@@ -37,12 +37,14 @@ here is its deterministic replay path, least-loaded-of-d over counters.)
 
 **Supervision & recovery.**  The source doubles as supervisor: workers
 heartbeat into the second lane of the progress block on every drain
-step, pushes carry a *no-progress* deadline
-(:class:`~repro.runtime.backpressure.RingStallError`), and a tripped
-deadline asks the backend one question -- did the worker show life
-within ``liveness_deadline``?  A worker that did not is condemned
-(``"exit"`` if it had died, ``"wedged"`` if it went silent;
-terminate->kill escalated).  One death handler then applies
+step, and one liveness rule decides every wait on a worker -- a push
+to a full ring, a restart replay, the end-of-stream report wait --
+continues only while the backend's non-blocking ``alive(w)`` says yes:
+the worker has not exited and has beaten within ``liveness_deadline``.
+A push that finds its worker dead raises
+:class:`~repro.runtime.backpressure.RingStallError`, and the worker is
+condemned (``"exit"`` if it had died, ``"wedged"`` if it went silent;
+terminated and reaped).  One death handler then applies
 ``RuntimeConfig.recovery``, mid-stream and at end-of-stream alike:
 
 * ``fail``    -- unwind cleanly; the result is partial and labeled
@@ -97,6 +99,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -125,7 +128,6 @@ from repro.runtime.supervision import (
     FailureEvent,
     LivenessDetector,
     RunAborted,
-    WorkerDeadError,
     reap_process,
 )
 from repro.runtime.worker import WorkerLoop, WorkerSpec, worker_main
@@ -144,8 +146,6 @@ __all__ = [
 #: recognised deployment modes ("auto" resolves to one of the others).
 MODES = ("auto", "process", "simulated")
 
-#: seconds between supervisor polls while assessing a silent worker.
-_ASSESS_POLL = 5e-3
 #: seconds between report-queue polls while waiting on a worker report.
 _FINISH_POLL = 50e-3
 #: seconds to wait for a dead worker's report still in flight.
@@ -189,18 +189,14 @@ class RuntimeConfig:
     recovery: str = "fail"
     #: seeded fault-injection schedule (None = fault-free).
     faults: Optional[FaultPlan] = None
-    #: seconds a lossless push may see *no ring progress* before the
-    #: stall is escalated to supervision (None = retry-count backstop).
-    #: Escalation is an assessment, not a condemnation -- a live,
-    #: beating worker just gets the push retried -- so this can be far
-    #: tighter than the liveness deadline; it bounds detection latency.
-    push_deadline: Optional[float] = 2.0
-    #: seconds of heartbeat silence before a worker is condemned.
+    #: seconds of heartbeat silence before a worker is condemned.  A
+    #: worker beats once per drain step, so ``max_batch`` times the
+    #: per-message service time must stay below it.
     liveness_deadline: float = 5.0
     #: worker-side bound: seconds of no ring progress before a real
     #: worker process exits instead of waiting forever on a dead
     #: producer (must exceed the source's longest routing/replay gap).
-    drain_deadline: Optional[float] = 120.0
+    drain_deadline: float = 120.0
     #: restarts allowed per worker before escalating to a clean abort.
     restart_limit: int = 3
 
@@ -245,18 +241,10 @@ class RuntimeConfig:
                 "drops are timing-dependent, so a replayed span could not "
                 "be byte-identical"
             )
-        if self.push_deadline is not None and self.push_deadline <= 0:
-            raise ValueError(
-                f"push_deadline must be > 0, got {self.push_deadline}"
-            )
-        if self.liveness_deadline <= 0:
-            raise ValueError(
-                f"liveness_deadline must be > 0, got {self.liveness_deadline}"
-            )
-        if self.drain_deadline is not None and self.drain_deadline <= 0:
-            raise ValueError(
-                f"drain_deadline must be > 0, got {self.drain_deadline}"
-            )
+        for name in ("liveness_deadline", "drain_deadline"):
+            value = getattr(self, name)
+            if value is None or value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.restart_limit < 1:
             raise ValueError(
                 f"restart_limit must be >= 1, got {self.restart_limit}"
@@ -291,7 +279,7 @@ class RuntimeResult:
     #: balance metrics), "scatter" (counting-sort grouping + staging
     #: appends), "flush_stall" (ring pushes, including every stall the
     #: backpressure policy absorbed), "drain" (end-of-stream wait for
-    #: the workers to finish and report), "recovery" (assessment waits,
+    #: the workers to finish and report), "recovery" (condemnations,
     #: respawns and span replays).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: staging-buffer flushes performed (ring pushes issued).
@@ -314,7 +302,7 @@ class RuntimeResult:
     undelivered: int = 0
     #: worker respawns performed by restart recovery.
     restarts: int = 0
-    #: pushes that tripped their no-progress deadline.
+    #: pushes that found their worker dead.
     stall_timeouts: int = 0
     #: the injected fault plan, in --fault grammar (provenance).
     injected_faults: Tuple[str, ...] = ()
@@ -435,7 +423,7 @@ class _Backend(abc.ABC):
     hands it to this constructor, and starts, probes, condemns and
     collects its workers.  Pushes, respawn resets and the end-of-stream
     wait are shared, so recovery upstream is mode-blind.  Liveness is
-    one question in both modes: :meth:`shows_life`.
+    one non-blocking question in both modes: :meth:`alive`.
     """
 
     def __init__(
@@ -477,14 +465,14 @@ class _Backend(abc.ABC):
         ]
 
     def push(self, worker: int, indices: np.ndarray, stamps: np.ndarray) -> PushOutcome:
-        """One push under the configured policy and push deadline."""
+        """One push under the configured policy, waiting while ``worker`` is alive."""
         return push_with_backpressure(
             self.rings[worker],
             indices,
             stamps,
             self.config.policy,
             drain=self._drain(worker),
-            deadline=self.config.push_deadline,
+            alive=lambda: self.alive(worker),
         )
 
     def respawn(self, worker: int, reason: str) -> None:
@@ -497,22 +485,22 @@ class _Backend(abc.ABC):
         self.specs[worker] = replace(spec, faults=consume_cause(spec.faults, reason))
         self._start(worker)
 
-    def finish_one(self, worker: int) -> Dict[str, Any]:
-        """``worker``'s final report, or :class:`WorkerDeadError`."""
+    def finish_one(self, worker: int) -> Union[Dict[str, Any], str]:
+        """``worker``'s final report, or the verdict that condemned it."""
         started = time.perf_counter()  # repro: noqa[REPRO002]
         while True:
             report = self._take_report(worker, _FINISH_POLL)
             if report is not None:
                 return report
-            if not self.shows_life(worker):
+            if not self.alive(worker):
                 # A dead worker's report may still be in flight.
                 report = self._take_report(worker, _REPORT_RACE)
                 if report is not None:
                     return report
-                raise WorkerDeadError(worker, self.condemn(worker))
+                return self.condemn(worker)
             if time.perf_counter() - started >= _JOIN_TIMEOUT:  # repro: noqa[REPRO002]
                 self.condemn(worker)
-                raise WorkerDeadError(worker, "finish-timeout")
+                return "finish-timeout"
 
     def close(self) -> None:
         pass
@@ -530,8 +518,8 @@ class _Backend(abc.ABC):
         """``worker``'s final report if it has finished, else None."""
 
     @abc.abstractmethod
-    def shows_life(self, worker: int) -> bool:
-        """Whether ``worker`` shows life within the liveness deadline."""
+    def alive(self, worker: int) -> bool:
+        """Whether ``worker`` may still make progress (never blocks)."""
 
     @abc.abstractmethod
     def condemn(self, worker: int) -> str:
@@ -542,9 +530,10 @@ class _SimulatedBackend(_Backend):
     """Rings + worker loops in one process; running replaces waiting.
 
     Consumers progress only when the source runs them -- through the
-    push's drain hook or here -- so showing life means stepping the
-    loop, after sleeping out an injected stall the liveness deadline
-    can absorb.
+    push's drain hook or here -- so the drain hook sleeps out an
+    injected stall the liveness deadline can absorb before stepping
+    the loop, and a loop is alive unless it died or its stall outlasts
+    that deadline.
     """
 
     def __init__(
@@ -569,18 +558,22 @@ class _SimulatedBackend(_Backend):
         )
 
     def _drain(self, worker: int) -> Optional[Callable[[], int]]:
-        return self.loops[worker].step
-
-    def shows_life(self, worker: int) -> bool:
         loop = self.loops[worker]
-        # Supervision telemetry (REPRO002 noqa): sleep out or condemn.
+
+        def drain() -> int:
+            # Supervision telemetry (REPRO002 noqa): sleep out a stall
+            # a live worker would survive, then run the consumer.
+            stall = loop.stall_remaining(time.perf_counter())  # repro: noqa[REPRO002]
+            if 0.0 < stall < self.config.liveness_deadline:
+                time.sleep(stall + 1e-4)
+            return loop.step()
+
+        return drain
+
+    def alive(self, worker: int) -> bool:
+        loop = self.loops[worker]
         stall = loop.stall_remaining(time.perf_counter())  # repro: noqa[REPRO002]
-        if stall >= self.config.liveness_deadline:
-            return False
-        if stall > 0.0:
-            time.sleep(stall + 1e-4)
-        loop.step()
-        return not loop.dead
+        return not loop.dead and stall < self.config.liveness_deadline
 
     def condemn(self, worker: int) -> str:
         loop = self.loops[worker]
@@ -590,7 +583,8 @@ class _SimulatedBackend(_Backend):
 
     def _take_report(self, worker: int, timeout: float) -> Optional[Dict[str, Any]]:
         loop = self.loops[worker]
-        while loop.step() > 0:
+        drain = self._drain(worker)
+        while drain() > 0:
             pass
         if loop.dead or not loop.ring.exhausted:
             return None
@@ -648,24 +642,19 @@ class _ProcessBackend(_Backend):
         self.processes[worker] = proc
         self.liveness.forget(worker)
 
-    def shows_life(self, worker: int) -> bool:
-        # The source cannot see a real worker's fault machine: a beat
-        # after the question is asked is life; an exit, or silence
-        # past the deadline, is not.
-        proc = self.processes[worker]
-        self.liveness.silent_for(worker)  # beats seen before now answer nothing
-        while proc.is_alive():
-            time.sleep(_ASSESS_POLL)
-            silent = self.liveness.silent_for(worker)
-            if silent == 0.0:
-                return True
-            if silent >= self.liveness.deadline:
-                return False
-        return False
+    def alive(self, worker: int) -> bool:
+        # The source cannot see a real worker's fault machine: an exit,
+        # or beat silence past the deadline, is the end of life.
+        return self.processes[worker].is_alive() and not self.liveness.expired(worker)
 
     def condemn(self, worker: int) -> str:
         proc = self.processes[worker]
-        verdict = "wedged" if proc.is_alive() else "exit"
+        verdict = "exit"
+        if proc.is_alive():
+            # Silent past the liveness deadline: it will not exit on
+            # its own, so joining it first would only wait.
+            verdict = "wedged"
+            proc.terminate()
         reap_process(proc, DEFAULT_REAP_TIMEOUT)
         return verdict
 
@@ -785,7 +774,7 @@ class _Supervisor:
     def _push(
         self, worker: int, ids: np.ndarray, stamps: np.ndarray
     ) -> Tuple[int, int, bool]:
-        """One deadline-bounded push: ``(pushed, dropped, stalled)``."""
+        """One push: ``(pushed, dropped, stalled)``; stalled = worker dead."""
         try:
             outcome = self.backend.push(worker, ids, stamps)
         except RingStallError as exc:
@@ -800,9 +789,9 @@ class _Supervisor:
     def _recover(self, worker: int, reason: Optional[str] = None) -> None:
         """Apply the recovery policy to a dead ``worker``; books the time.
 
-        A stalled push passes no ``reason``: the worker is first asked
-        for a sign of life, and a live one just gets its push retried.
-        ``collect`` passes the end-of-stream verdict.  While draining,
+        A stalled push passes no ``reason``: the push found the worker
+        dead, so it is condemned here.  ``collect`` passes the verdict
+        of the end-of-stream wait.  While draining,
         a restarted ring is re-marked done, masking the last survivor
         is moot rather than fatal, and an abort is recorded in
         ``aborted`` instead of raised -- the survivors still report.
@@ -810,8 +799,6 @@ class _Supervisor:
         before = time.perf_counter()  # repro: noqa[REPRO002]
         try:
             if reason is None:
-                if self.backend.shows_life(worker):
-                    return
                 reason = self.backend.condemn(worker)
             action = self.config.recovery if self.aborted is None else "fail"
             self._record(worker, reason, action)
@@ -905,11 +892,10 @@ class _Supervisor:
             # messages measure re-delivery, not the original enqueue
             # (REPRO002 noqa).
             stamps = np.full(ids.size, time.perf_counter())  # repro: noqa[REPRO002]
-            while ids.size:
-                pushed, _dropped, stalled = self._push(worker, ids, stamps)
-                ids, stamps = ids[pushed:], stamps[pushed:]
-                if stalled and not self.backend.shows_life(worker):
-                    return False
+            # Restart implies a lossless policy: a push either delivers
+            # everything or found the worker dead.
+            if self._push(worker, ids, stamps)[2]:
+                return False
         return True
 
     # -- end of stream ------------------------------------------------------
@@ -929,11 +915,11 @@ class _Supervisor:
         reports: Dict[int, Dict[str, Any]] = {}
         for w in range(self.num_workers):
             while w not in self.dead:
-                try:
-                    reports[w] = self.backend.finish_one(w)
+                outcome = self.backend.finish_one(w)
+                if not isinstance(outcome, str):
+                    reports[w] = outcome
                     break
-                except WorkerDeadError as exc:
-                    self._recover(w, exc.reason)
+                self._recover(w, outcome)
         return [reports[w] for w in sorted(reports)]
 
 
@@ -973,7 +959,7 @@ def run_runtime(
     :class:`~repro.core.chunks.ChunkSource` (one fresh pass on the
     source's own chunk grid; ``timestamps`` requires an array input).
     Injected faults and recovery behaviour are configured on
-    ``config`` (``faults``, ``recovery`` and the deadline knobs).
+    ``config`` (``faults``, ``recovery`` and the two deadlines).
     """
     config = config or RuntimeConfig()
     m = stream_length(keys)
@@ -1032,7 +1018,7 @@ def run_runtime(
         stamp_lane[:n] = before
         sup.deliver(w, stage_ids[w, :n], stamp_lane[:n])
         after = time.perf_counter()  # repro: noqa[REPRO002]
-        # Recovery time (assessments, respawns, replays) is accounted in
+        # Recovery time (condemnations, respawns, replays) is accounted in
         # its own stage, not as flush stall.
         flush_seconds += (after - before) - (
             sup.recovery_seconds - recovery_before

@@ -11,12 +11,10 @@ that role that are independent of the engine's run loop:
   silence -- not idleness -- is the death signal: a slow worker keeps
   beating and must not be condemned, a crashed or stalled one goes
   quiet.
-* :class:`WorkerDeadError` -- the typed verdict a backend raises when
-  a worker it was waiting on is gone (``reason`` says how it was
-  established: ``"exit"`` for an observed death, ``"wedged"`` for a
-  condemned silence, ``"finish-timeout"`` for the absolute drain cap).
-* :class:`FailureEvent` -- one detected failure plus the recovery
-  action taken, with the exact accounting (messages routed, delivered,
+* :class:`FailureEvent` -- one detected failure (``reason`` says how
+  it was established: ``"exit"`` for an observed death, ``"wedged"``
+  for a condemned silence, ``"finish-timeout"`` for the absolute drain
+  cap) plus the recovery action taken, with the exact accounting (messages routed, delivered,
   checkpointed) needed to audit conservation afterwards.
 * :data:`RECOVERY_POLICIES` -- ``fail`` (clean abort, partial but
   well-labeled results), ``reroute`` (mask the dead worker out of the
@@ -26,10 +24,10 @@ that role that are independent of the engine's run loop:
   every child teardown path uses, so no wedged worker can leak a
   process or its shared-memory mappings.
 
-**Every wait here is bounded.**  Liveness deadlines, reap timeouts and
-the engine's push deadlines together guarantee that no recovery path
-can hang -- the property the REPRO006 lint rule enforces statically
-over this package.
+**Every wait here is bounded.**  The liveness deadline, which ends
+every wait on a silent worker, and the reap timeouts together
+guarantee that no recovery path can hang -- the property the REPRO006
+lint rule enforces statically over this package.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "RECOVERY_POLICIES",
     "FailureEvent",
     "LivenessDetector",
-    "WorkerDeadError",
     "reap_process",
 ]
 
@@ -53,31 +50,6 @@ RECOVERY_POLICIES: Tuple[str, ...] = ("fail", "reroute", "restart")
 
 #: seconds each escalation step of :func:`reap_process` waits.
 DEFAULT_REAP_TIMEOUT = 5.0
-
-
-class WorkerDeadError(RuntimeError):
-    """A worker the runtime was waiting on is dead or condemned.
-
-    ``reason`` is ``"exit"`` (the process/loop observably died),
-    ``"wedged"`` (heartbeats went silent past the liveness deadline and
-    the worker was condemned), or ``"finish-timeout"`` (the absolute
-    end-of-stream drain cap expired).  ``exitcode`` carries the child's
-    exit status when one was observed.
-    """
-
-    def __init__(
-        self,
-        worker: int,
-        reason: str,
-        message: Optional[str] = None,
-        exitcode: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            message or f"worker {worker} is dead ({reason})"
-        )
-        self.worker = int(worker)
-        self.reason = str(reason)
-        self.exitcode = exitcode
 
 
 class RunAborted(RuntimeError):

@@ -88,6 +88,9 @@ class WorkerSpec:
     service_cost: float
     #: messages between checkpoint publications to the progress array.
     checkpoint_interval: int
+    #: seconds of no ring progress before the drain loop gives up (see
+    #: drain_until_done).
+    drain_deadline: float
     #: LatencyStore relative error for the sojourn sketch.
     relative_error: float = DEFAULT_RELATIVE_ERROR
     #: largest batch one drain step pops.
@@ -96,9 +99,6 @@ class WorkerSpec:
     capture_indices: bool = False
     #: this worker's slice of the fault plan (injection harness).
     faults: Tuple[FaultSpec, ...] = ()
-    #: seconds of no ring progress before the drain loop gives up
-    #: (None = retry-bounded only; see drain_until_done).
-    drain_deadline: Optional[float] = None
 
 
 def _busy_wait(seconds: float) -> None:
@@ -316,7 +316,7 @@ class WorkerLoop:
         self.checkpoints_published += 1
         self._since_checkpoint = 0
 
-    def drain_until_done(self, deadline: Optional[float] = None) -> None:
+    def drain_until_done(self, deadline: float) -> None:
         """Run until the producer marked done and the ring is empty.
 
         ``deadline`` bounds the wait: after that many seconds with no
@@ -337,17 +337,16 @@ class WorkerLoop:
             if self.ring.exhausted:
                 self.publish_checkpoint()
                 return
-            if deadline is not None:
-                # Idle-wait bounding is supervision telemetry, not a
-                # routing input (REPRO002 noqa).
-                now = time.perf_counter()  # repro: noqa[REPRO002]
-                if idle_started is None:
-                    idle_started = now
-                elif now - idle_started >= deadline:
-                    raise RingStallError(
-                        f"worker {self.worker_id} saw no ring progress "
-                        f"for {deadline:g}s (producer dead?)"
-                    )
+            # Idle-wait bounding is supervision telemetry, not a routing
+            # input (REPRO002 noqa).
+            now = time.perf_counter()  # repro: noqa[REPRO002]
+            if idle_started is None:
+                idle_started = now
+            elif now - idle_started >= deadline:
+                raise RingStallError(
+                    f"worker {self.worker_id} saw no ring progress "
+                    f"for {deadline:g}s (producer dead?)"
+                )
             time.sleep(_IDLE_SLEEP)
 
     def kill(self) -> None:

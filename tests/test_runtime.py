@@ -134,7 +134,7 @@ class TestWorkerLoop:
             np.arange(25, dtype=np.int64), np.zeros(25, dtype=np.float64)
         )
         ring.mark_done()
-        loop.drain_until_done()
+        loop.drain_until_done(deadline=5.0)
         assert loop.count == 25
         assert progress.tolist() == [0, 25, 0]  # only its own slot
         assert loop.checkpoints_published >= 2

@@ -18,6 +18,7 @@ tightened throughout so a recovery path that *would* hang fails fast
 instead.
 """
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -56,7 +57,6 @@ def simulated_config(recovery, faults, **overrides):
         flush_size=128,
         recovery=recovery,
         faults=faults,
-        push_deadline=0.5,
         liveness_deadline=1.0,
         drain_deadline=30.0,
     )
@@ -71,7 +71,6 @@ def process_config(recovery, faults, **overrides):
         flush_size=512,
         recovery=recovery,
         faults=faults,
-        push_deadline=0.5,
         liveness_deadline=2.0,
         drain_deadline=60.0,
     )
@@ -345,3 +344,85 @@ class TestProcessChaosMatrix:
             s.describe() for s in plan.specs
         )
         assert result.conservation_ok
+
+
+class TestOneLivenessRule:
+    """A full-ring push waits only while its worker is alive.
+
+    Alive means not exited and beaten within ``liveness_deadline``: an
+    exit is noticed at once, a slow worker that keeps beating is never
+    escalated, and a silent one is condemned after the deadline.
+    """
+
+    @needs_processes
+    def test_exit_is_noticed_without_waiting(self):
+        # A generous liveness deadline must not delay noticing an exit:
+        # no detection wait is booked as flush stall.
+        plan = FaultPlan.parse(["kill:w=1@n=500"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 2, seed=42),
+            process_config("restart", plan, liveness_deadline=30.0),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 2, seed=42))
+        assert result.status == "ok", result.failures
+        assert result.restarts == 1
+        np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
+        assert result.stage_seconds["flush_stall"] < 1.0
+
+    @needs_processes
+    def test_slow_beating_worker_is_never_escalated(self):
+        # One batch of 8 messages takes 2.2 s of service, so the last
+        # push finds the ring full for over 2 s; the worker beats
+        # between batches, well inside the liveness deadline.
+        stream = STREAM[:17]
+        result = run_runtime(
+            stream,
+            make_partitioner("pkg", 1, seed=42),
+            process_config(
+                "fail",
+                None,
+                capacity=8,
+                flush_size=8,
+                max_batch=8,
+                service_cost=0.275,
+                liveness_deadline=10.0,
+            ),
+        )
+        replay = replay_stream(stream, make_partitioner("pkg", 1, seed=42))
+        assert result.status == "ok", result.failures
+        assert result.stall_timeouts == 0
+        np.testing.assert_array_equal(result.worker_loads, replay.final_loads)
+
+    @needs_processes
+    def test_wedged_worker_is_terminated_not_joined(self):
+        # An endless stall is condemned after the liveness deadline and
+        # terminated at once: it would never exit on its own.
+        plan = FaultPlan.parse(["stall:w=1@n=500"], seed=42)
+        started = time.perf_counter()
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 2, seed=42),
+            process_config("reroute", plan, liveness_deadline=1.0),
+        )
+        assert time.perf_counter() - started < 4.0
+        assert result.status == "degraded"
+        assert result.failures[0]["reason"] == "wedged"
+        assert result.conservation_ok
+
+    @pytest.mark.parametrize(
+        "mode", ["simulated", pytest.param("process", marks=needs_processes)]
+    )
+    def test_short_stall_is_waited_out(self, mode):
+        # A stall shorter than the liveness deadline is no death.
+        make_config = simulated_config if mode == "simulated" else process_config
+        plan = FaultPlan.parse(["stall:w=1@n=500:duration=0.3"], seed=42)
+        result = run_runtime(
+            STREAM,
+            make_partitioner("pkg", 2, seed=42),
+            make_config("restart", plan, liveness_deadline=2.0),
+        )
+        replay = replay_stream(STREAM, make_partitioner("pkg", 2, seed=42))
+        assert result.status == "ok", result.failures
+        assert not result.failures
+        np.testing.assert_array_equal(result.worker_loads, replay.final_loads)

@@ -3,8 +3,8 @@
 The chaos-matrix end-to-end runs live in ``test_runtime_chaos.py``;
 this file pins the building blocks one at a time: the ``--fault``
 grammar, the restart cause-consumption rule, heartbeat lanes and the
-liveness detector, deadline-bounded pushes against a consumer that
-died mid-push, process reaping (with the /dev/shm leak check), worker
+liveness detector, pushes that wait only while their consumer is alive,
+process reaping (with the /dev/shm leak check), worker
 masking with deterministic deputies, and the recovery knobs on
 ``RuntimeConfig``.
 """
@@ -27,7 +27,6 @@ from repro.runtime import (
     RingStallError,
     RuntimeConfig,
     SpscRing,
-    WorkerDeadError,
     WorkerLoop,
     parse_fault,
     push_with_backpressure,
@@ -203,38 +202,48 @@ class TestHeartbeats:
 
 
 class TestPushDeadline:
+    """A full-ring push waits only while its worker is alive."""
+
     def test_deadline_raises_typed_error_with_partial_accounting(self):
-        # The consumer is gone: a bounded push must raise RingStallError
-        # carrying exactly how much entered the ring before the stall.
+        # The consumer answers alive three times, then dies: the push
+        # raises RingStallError carrying exactly how much entered the
+        # ring, and one stall per full-ring retry.
         ring = SpscRing.create_local(64)
         ids = np.arange(100, dtype=np.int64)
         stamps = np.zeros(100, dtype=np.float64)
-        start = time.perf_counter()
+        answers = iter([True, True, True, False])
         with pytest.raises(RingStallError) as err:
             push_with_backpressure(
-                ring, ids, stamps, "block", deadline=0.1
+                ring, ids, stamps, "block", alive=lambda: next(answers)
             )
-        assert time.perf_counter() - start < 5.0
         assert err.value.pushed == 64
-        assert err.value.stalls >= 1
+        assert err.value.stalls == 4
 
     def test_progress_resets_the_deadline(self):
-        # A consumer that keeps draining never trips the deadline even
-        # if the total push takes longer than it.
+        # A consumer that keeps draining never raises, however many
+        # times the ring fills during one push.
         ring = SpscRing.create_local(8)
         lanes = np.zeros(2, dtype=np.int64)
         loop = WorkerLoop(0, ring, lanes[:1], beats=lanes[1:])
         ids = np.arange(400, dtype=np.int64)
         stamps = np.zeros(400, dtype=np.float64)
         outcome = push_with_backpressure(
-            ring, ids, stamps, "block", drain=loop.step, deadline=0.5
+            ring, ids, stamps, "block", drain=loop.step
         )
         assert outcome.pushed == 400
+
+    @pytest.mark.parametrize("policy", ["block", "spin"])
+    def test_lossless_push_needs_a_hook(self, policy):
+        # Without a drain or alive hook nothing could end the wait.
+        ring = SpscRing.create_local(8)
+        ids = np.arange(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="hook"):
+            push_with_backpressure(ring, ids, np.zeros(4), policy)
 
     @needs_processes
     def test_killed_consumer_mid_push_fails_cleanly(self):
         # Real worker process crashes mid-stream with a tiny ring: the
-        # source's push deadline trips, the fail policy aborts cleanly,
+        # source's push sees the exit, the fail policy aborts cleanly,
         # and the result is labeled with exact loss accounting.
         plan = FaultPlan.parse(["kill:w=1@n=100"], seed=3)
         result = run_runtime(
@@ -246,7 +255,6 @@ class TestPushDeadline:
                 flush_size=256,
                 recovery="fail",
                 faults=plan,
-                push_deadline=0.5,
                 liveness_deadline=2.0,
             ),
         )
@@ -293,7 +301,6 @@ class TestReaping:
                     flush_size=512,
                     recovery=recovery,
                     faults=plan,
-                    push_deadline=0.5,
                     liveness_deadline=2.0,
                 ),
             )
@@ -441,10 +448,10 @@ class TestRuntimeConfigRecovery:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"push_deadline": 0.0},
             {"liveness_deadline": -1.0},
             {"drain_deadline": 0.0},
             {"restart_limit": 0},
+            {"drain_deadline": None},
         ],
     )
     def test_deadlines_must_be_positive(self, kwargs):

@@ -171,7 +171,6 @@ class TestStageBreakdown:
                 flush_size=1024,
                 recovery="restart",
                 faults=FaultPlan.parse(["kill:w=1@n=30000"], seed=42),
-                push_deadline=0.5,
                 liveness_deadline=2.0,
             ),
         )
